@@ -12,7 +12,7 @@ persistence, and a CLI (`seatcheck`).
 """
 
 from .codebooks import GmmModel, KmeansCodebook, posteriors, train_gmm, train_kmeans
-from .dense_descriptors import DescriptorSet, LocalDescriptor, descriptor_count, extract_dense
+from .dense_descriptors import DescriptorSet, descriptor_count, extract_dense
 from .dpm_face import (
     Detection,
     Edge,
@@ -59,7 +59,6 @@ __all__ = [
     "KmeansCodebook",
     "LabeledImage",
     "LinearModel",
-    "LocalDescriptor",
     "NumericalError",
     "PartMixtureModel",
     "PartTree",

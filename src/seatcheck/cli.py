@@ -11,34 +11,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import store
 from .codebooks import gmm_debug_dump, train_gmm, train_kmeans
-from .dense_descriptors import extract_dense, save_descriptors_csv
-from .dpm_face import build_synthetic_face_model, detect_occupancy
-from .encoders import encode_bow, encode_fv, encode_vlad
+from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, save_descriptors_csv
+from .encoders import ENCODER_KINDS
 from .errors import DataError, NumericalError, SeatcheckError
-from .eval_metrics import (
-    ScoredSample,
-    accuracy,
-    accuracy_vs_yield,
-    best_threshold,
-    curve_to_csv,
-    is_true_positive,
-    roc_curve,
-)
-from .imagecore import build_pyramid
-from .linear_classifier import score, train_svm, weights_to_csv
+from .eval_metrics import ScoredSample, accuracy, best_threshold, curve_to_csv, is_true_positive
+from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
+from .linear_classifier import train_svm, weights_to_csv
 from .pca_reduce import fit_pca, project_set
-from .pipeline import PipelineConfig, check_quantizer_kind, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    build_face_model,
+    describe,
+    detect_faces,
+    evaluate,
+    pool_descriptors,
+    run_pipeline,
+    signature,
+)
 from .synthetic import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 
-SQRT1_2 = 1.0 / math.sqrt(2.0)
+DEFAULTS = PipelineConfig()
 
 
 class Parser(argparse.ArgumentParser):
@@ -49,39 +47,27 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _labels_map(manifest: str | None) -> dict[str, int]:
-    if manifest is None:
-        return {}
-    return {im.image_id: 1 if im.label == "person" else -1 for im in load_dataset(manifest)}
+def _from_args(cls, args):
+    """Build a config dataclass from the parsed options named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
-def _subsample(vectors: np.ndarray, cap: int | None, seed: int) -> np.ndarray:
-    if cap is None or vectors.shape[0] <= cap:
-        return vectors
-    rng = np.random.default_rng(seed)
-    return vectors[rng.choice(vectors.shape[0], size=cap, replace=False)]
+def _labeled_corpus(path):
+    vectors, labels, ids = store.load_corpus(path)
+    if labels is None:
+        raise DataError("corpus has no labels; encode with --manifest to attach them")
+    return vectors, labels, ids
 
 
 def cmd_synth_gen(args) -> int:
-    spec = SyntheticSpec(
-        count=args.count,
-        positive_fraction=args.positive_fraction,
-        width=args.width,
-        height=args.height,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
-    manifest = save_dataset(generate_synthetic(spec), args.out)
+    manifest = save_dataset(generate_synthetic(_from_args(SyntheticSpec, args)), args.out)
     print(f"wrote {args.count} images; manifest at {manifest}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    images = load_dataset(args.manifest)
-    sets = []
-    for im in images:
-        pyr = build_pyramid(im.image, levels=args.levels, factor=args.factor)
-        sets.append(extract_dense(pyr, patch=args.patch, stride=args.stride, source_id=im.image_id))
+    # args carries the geometry: --patch, --stride, --levels and --factor.
+    sets = [describe(im.image, args, source_id=im.image_id) for im in load_dataset(args.manifest)]
     store.save_descriptor_sets(sets, args.out)
     if args.dump_csv:
         dump_dir = Path(args.dump_csv)
@@ -95,7 +81,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train_pca(args) -> int:
     sets = store.load_descriptor_sets(args.descriptors)
-    data = _subsample(np.concatenate([s.vectors for s in sets]), args.sample, args.sample_seed)
+    data = pool_descriptors(sets, args.sample, args.sample_seed)
     model = fit_pca(data, args.dim)
     store.save_pca(model, args.out)
     print(f"PCA {model.d_in} -> {model.d_out} fitted on {data.shape[0]} descriptors -> {args.out}")
@@ -112,7 +98,7 @@ def _load_projected_sets(args):
 
 def cmd_train_codebook(args) -> int:
     sets = _load_projected_sets(args)
-    data = _subsample(np.concatenate([s.vectors for s in sets]), args.sample, args.sample_seed)
+    data = pool_descriptors(sets, args.sample, args.sample_seed)
     cb = train_kmeans(data, K=args.k, seed=args.seed, max_iter=args.max_iter)
     store.save_quantizer(cb, args.out)
     print(f"k-means codebook K={cb.K} d={cb.d} -> {args.out}")
@@ -121,7 +107,7 @@ def cmd_train_codebook(args) -> int:
 
 def cmd_train_gmm(args) -> int:
     sets = _load_projected_sets(args)
-    data = _subsample(np.concatenate([s.vectors for s in sets]), args.sample, args.sample_seed)
+    data = pool_descriptors(sets, args.sample, args.sample_seed)
     gmm = train_gmm(data, K=args.k, seed=args.seed, max_iter=args.max_iter, tol=args.tol)
     store.save_quantizer(gmm, args.out)
     if args.debug_dump:
@@ -135,12 +121,15 @@ def cmd_train_gmm(args) -> int:
 def cmd_encode(args) -> int:
     sets = _load_projected_sets(args)
     quantizer = store.load_quantizer(args.vocab)
-    check_quantizer_kind(args.encoder, quantizer)
-    encode = {"bow": encode_bow, "vlad": encode_vlad, "fisher": encode_fv}[args.encoder]
-    vectors = [encode(s, quantizer) for s in sets]
+    vectors = [signature(s, quantizer, args.encoder) for s in sets]
     ids = [s.source_id for s in sets]
-    label_map = _labels_map(args.manifest)
-    labels = [label_map[i] for i in ids] if label_map else None
+    labels = None
+    if args.manifest:
+        targets = {im.image_id: im.target for im in load_dataset(args.manifest)}
+        try:
+            labels = [targets[i] for i in ids]
+        except KeyError as e:
+            raise DataError(f"image {e} is not in the manifest") from e
     store.save_corpus(vectors, labels, ids, args.out)
     if args.csv:
         store.atomic_write_text(args.csv, store.corpus_to_csv(vectors, labels, ids))
@@ -149,10 +138,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train_svm(args) -> int:
-    vectors, labels, _ = store.load_corpus(args.corpus)
-    if labels is None:
-        raise DataError("corpus has no labels; encode with --manifest to attach them")
-    clf = train_svm(list(zip(vectors, labels)), lambda_=args.lam, epochs=args.epochs, seed=args.seed)
+    vectors, labels, _ = _labeled_corpus(args.corpus)
+    clf = train_svm(list(zip(vectors, labels)), lambda_=args.lambda_, epochs=args.epochs, seed=args.seed)
     store.save_classifier(clf, args.out)
     if args.weights_csv:
         store.atomic_write_text(args.weights_csv, weights_to_csv(clf))
@@ -161,18 +148,9 @@ def cmd_train_svm(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    vectors, labels, ids = store.load_corpus(args.corpus)
-    if labels is None:
-        raise DataError("corpus has no labels; encode with --manifest to attach them")
+    vectors, labels, ids = _labeled_corpus(args.corpus)
     clf = store.load_classifier(args.classifier)
-    samples = [
-        ScoredSample(id=i, score=score(clf, v), label=y)
-        for v, y, i in zip(vectors, labels, ids)
-    ]
-    acc = accuracy(samples)
-    roc, auc = roc_curve(samples)
-    grid = [q / 20.0 for q in range(1, 21)]
-    yc = accuracy_vs_yield(samples, grid)
+    _, acc, roc, auc, yc = evaluate(clf, vectors, labels, ids)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     store.atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))
@@ -183,30 +161,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_build_dpm(args) -> int:
     images = load_dataset(args.manifest)
-    faces = [(im.image, im.gt_face_box) for im in images if im.label == "person"]
-    negatives = [im.image for im in images if im.label == "empty"]
-    model = build_synthetic_face_model(faces, negatives, cell_size=args.cell_size, seed=args.seed)
+    model = build_face_model(images, cell_size=args.cell_size, seed=args.seed)
     store.save_dpm_model(model, args.out)
-    print(f"synthetic part model from {len(faces)} faces -> {args.out}")
+    faces = sum(im.gt_face_box is not None for im in images)
+    print(f"synthetic part model from {faces} faces -> {args.out}")
     return 0
 
 
 def cmd_detect_face(args) -> int:
     images = load_dataset(args.manifest)
     model = store.load_dpm_model(args.model)
-    rows = []
-    samples = []
-    for im in images:
-        _, det = detect_occupancy(model, im.image, threshold=-math.inf,
-                                  levels=args.levels, factor=args.factor)
-        samples.append(
-            ScoredSample(id=im.image_id, score=det.score, label=1 if im.label == "person" else -1)
-        )
-        iou_ok = ""
-        if im.gt_face_box is not None:
-            iou_ok = str(is_true_positive(det.box, im.gt_face_box)).lower()
-        rows.append((im.image_id, det.score, det.box, iou_ok))
-
+    scored = detect_faces(model, images, args.levels, args.scale_factor)
+    samples = [s for s, _ in scored]
     threshold = args.threshold
     if threshold is None:
         threshold, acc = best_threshold(samples)
@@ -216,10 +182,14 @@ def cmd_detect_face(args) -> int:
     ]
     acc = accuracy(decided)
     lines = ["id,decision,score,x,y,w,h,box_matches_gt"]
-    for (image_id, s, box, iou_ok) in rows:
-        decision = "person" if s >= threshold else "empty"
+    for im, (s, det) in zip(images, scored):
+        decision = "person" if s.score >= threshold else "empty"
+        iou_ok = ""
+        if im.gt_face_box is not None:
+            iou_ok = str(is_true_positive(det.box, im.gt_face_box)).lower()
+        box = det.box
         lines.append(
-            f"{image_id},{decision},{s!r},{box.x!r},{box.y!r},{box.w!r},{box.h!r},{iou_ok}"
+            f"{im.image_id},{decision},{s.score!r},{box.x!r},{box.y!r},{box.w!r},{box.h!r},{iou_ok}"
         )
     if args.out:
         store.atomic_write_text(args.out, "\n".join(lines) + "\n")
@@ -233,30 +203,8 @@ def cmd_run_all(args) -> int:
     if args.manifest:
         images = load_dataset(args.manifest)
     else:
-        spec = SyntheticSpec(
-            count=args.count,
-            positive_fraction=args.positive_fraction,
-            width=args.width,
-            height=args.height,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
-        images = generate_synthetic(spec)
-    config = PipelineConfig(
-        encoder=args.encoder,
-        k=args.k,
-        pca_dim=args.pca_dim,
-        final_pca=args.final_pca,
-        lambda_=args.lam,
-        epochs=args.epochs,
-        train_fraction=args.train_fraction,
-        vocab_sample=args.vocab_sample,
-        split_seed=args.split_seed,
-        sample_seed=args.sample_seed,
-        vocab_seed=args.vocab_seed,
-        svm_seed=args.svm_seed,
-        with_dpm=args.with_dpm,
-    )
+        images = generate_synthetic(_from_args(SyntheticSpec, args))
+    config = _from_args(PipelineConfig, args)
     result = run_pipeline(images, config, out_dir=args.out)
     print(json.dumps(
         {
@@ -288,10 +236,10 @@ def build_parser() -> Parser:
     p = sub.add_parser("extract", help="dense descriptors for every manifest image")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--patch", type=int, default=24)
-    p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--factor", type=float, default=SQRT1_2)
+    p.add_argument("--patch", type=int, default=DEFAULT_PATCH)
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
+    p.add_argument("--factor", dest="scale_factor", type=float, default=DEFAULT_SCALE_FACTOR)
     p.add_argument("--dump-csv", help="directory for per-image debug CSV dumps")
     p.set_defaults(fn=cmd_extract)
 
@@ -299,7 +247,7 @@ def build_parser() -> Parser:
     p.add_argument("--descriptors", required=True)
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--sample-seed", type=int, default=2)
+    p.add_argument("--sample-seed", type=int, default=DEFAULTS.sample_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_pca)
 
@@ -308,20 +256,21 @@ def build_parser() -> Parser:
         p.add_argument("--descriptors", required=True)
         p.add_argument("--pca", help="optional PCA model applied before training")
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--seed", type=int, default=3)
-        p.add_argument("--max-iter", type=int, default=100)
-        p.add_argument("--sample", type=int, default=60000)
-        p.add_argument("--sample-seed", type=int, default=2)
+        p.add_argument("--seed", type=int, default=DEFAULTS.vocab_seed)
+        p.add_argument("--max-iter", type=int, default=DEFAULTS.gmm_max_iter
+                       if name == "train-gmm" else DEFAULTS.kmeans_max_iter)
+        p.add_argument("--sample", type=int, default=DEFAULTS.vocab_sample)
+        p.add_argument("--sample-seed", type=int, default=DEFAULTS.sample_seed)
         p.add_argument("--out", required=True)
         if name == "train-gmm":
-            p.add_argument("--tol", type=float, default=1e-5)
+            p.add_argument("--tol", type=float, default=DEFAULTS.gmm_tol)
             p.add_argument("--debug-dump", help="write a plain-text component listing")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("encode", help="aggregate descriptors into image signatures")
     p.add_argument("--descriptors", required=True)
     p.add_argument("--pca", help="optional PCA model applied before encoding")
-    p.add_argument("--encoder", choices=("bow", "vlad", "fisher"), required=True)
+    p.add_argument("--encoder", choices=ENCODER_KINDS, required=True)
     p.add_argument("--vocab", required=True, help="codebook (bow/vlad) or GMM (fisher) file")
     p.add_argument("--manifest", help="attach labels from this manifest")
     p.add_argument("--csv", help="also export the corpus as CSV")
@@ -330,9 +279,9 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("train-svm", help="train the linear SGD-SVM on an encoded corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-5)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=4)
+    p.add_argument("--lambda", dest="lambda_", type=float, default=DEFAULTS.lambda_)
+    p.add_argument("--epochs", type=int, default=DEFAULTS.epochs)
+    p.add_argument("--seed", type=int, default=DEFAULTS.svm_seed)
     p.add_argument("--weights-csv", help="also export weights as CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_svm)
@@ -346,7 +295,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("build-dpm", help="synthesize a part model from labeled faces")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cell-size", type=int, default=3)
-    p.add_argument("--seed", type=int, default=5)
+    p.add_argument("--seed", type=int, default=DEFAULTS.dpm_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_dpm)
 
@@ -355,8 +304,8 @@ def build_parser() -> Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--threshold", type=float, default=None,
                    help="decision threshold; default: accuracy-optimal sweep")
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--factor", type=float, default=SQRT1_2)
+    p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
+    p.add_argument("--factor", dest="scale_factor", type=float, default=DEFAULT_SCALE_FACTOR)
     p.add_argument("--out", help="write per-image decisions CSV here")
     p.set_defaults(fn=cmd_detect_face)
 
@@ -369,18 +318,18 @@ def build_parser() -> Parser:
     p.add_argument("--height", type=int, default=96)
     p.add_argument("--noise-sigma", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--encoder", choices=("bow", "vlad", "fisher"), default="fisher")
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--pca-dim", type=int, default=64)
-    p.add_argument("--final-pca", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-5)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--vocab-sample", type=int, default=60000)
-    p.add_argument("--split-seed", type=int, default=1)
-    p.add_argument("--sample-seed", type=int, default=2)
-    p.add_argument("--vocab-seed", type=int, default=3)
-    p.add_argument("--svm-seed", type=int, default=4)
+    p.add_argument("--encoder", choices=ENCODER_KINDS, default=DEFAULTS.encoder)
+    p.add_argument("--k", type=int, default=DEFAULTS.k)
+    p.add_argument("--pca-dim", type=int, default=DEFAULTS.pca_dim)
+    p.add_argument("--final-pca", type=int, default=DEFAULTS.final_pca)
+    p.add_argument("--lambda", dest="lambda_", type=float, default=DEFAULTS.lambda_)
+    p.add_argument("--epochs", type=int, default=DEFAULTS.epochs)
+    p.add_argument("--train-fraction", type=float, default=DEFAULTS.train_fraction)
+    p.add_argument("--vocab-sample", type=int, default=DEFAULTS.vocab_sample)
+    p.add_argument("--split-seed", type=int, default=DEFAULTS.split_seed)
+    p.add_argument("--sample-seed", type=int, default=DEFAULTS.sample_seed)
+    p.add_argument("--vocab-seed", type=int, default=DEFAULTS.vocab_seed)
+    p.add_argument("--svm-seed", type=int, default=DEFAULTS.svm_seed)
     p.add_argument("--with-dpm", action="store_true")
     p.set_defaults(fn=cmd_run_all)
 

@@ -22,11 +22,6 @@ VARIANCE_FLOOR = 1e-8
 # the ML estimates mean anything.
 MIN_SAMPLES_PER_COMPONENT = 10
 
-# Vocabulary sizes exercised by the experiment grid. BoW stays cheap per
-# word, so its grid extends further.
-FV_K_GRID = (32, 64, 128, 256, 512)
-BOW_K_GRID = (32, 64, 128, 256, 512, 1024, 2048, 4096)
-
 
 @dataclass(frozen=True)
 class KmeansCodebook:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .imagecore import ScalePyramid, compute_gradients, level_size
+from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, ScalePyramid, compute_gradients, level_size
 
 N_CELLS = 4
 N_ORI_BINS = 8
@@ -30,15 +30,9 @@ NORM_FLOOR = 1e-10
 
 CLIP_THRESHOLD = 0.2
 
-
-@dataclass(frozen=True)
-class LocalDescriptor:
-    """One local descriptor with its normalized patch-center position."""
-
-    vector: np.ndarray
-    x_norm: float
-    y_norm: float
-    scale_level: int
+# Default sampling grid: 24x24 patches every 4 pixels.
+DEFAULT_PATCH = 24
+DEFAULT_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -71,14 +65,6 @@ class DescriptorSet:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    def __getitem__(self, i: int) -> LocalDescriptor:
-        return LocalDescriptor(
-            vector=self.vectors[i],
-            x_norm=float(self.x_norm[i]),
-            y_norm=float(self.y_norm[i]),
-            scale_level=int(self.scale_level[i]),
-        )
 
     @property
     def dim(self) -> int:
@@ -137,7 +123,9 @@ def _normalize_descriptors(desc: np.ndarray) -> np.ndarray:
     return safe_unit(desc)
 
 
-def extract_dense(pyr: ScalePyramid, patch: int = 24, stride: int = 4, source_id: str = "") -> DescriptorSet:
+def extract_dense(
+    pyr: ScalePyramid, patch: int = DEFAULT_PATCH, stride: int = DEFAULT_STRIDE, source_id: str = ""
+) -> DescriptorSet:
     """Extract descriptors at every (i*stride, j*stride) patch on every level."""
     if patch < N_CELLS or stride < 1:
         raise DataError(f"invalid patch/stride: {patch}/{stride}")
@@ -180,10 +168,10 @@ def extract_dense(pyr: ScalePyramid, patch: int = 24, stride: int = 4, source_id
 def descriptor_count(
     width: int,
     height: int,
-    levels: int = 3,
-    factor: float = 0.7071067811865476,
-    patch: int = 24,
-    stride: int = 4,
+    levels: int = DEFAULT_LEVELS,
+    factor: float = DEFAULT_SCALE_FACTOR,
+    patch: int = DEFAULT_PATCH,
+    stride: int = DEFAULT_STRIDE,
 ) -> int:
     """Total grid positions across all levels; extract_dense yields exactly this."""
     if min(width, height, levels, patch, stride) < 1 or factor <= 0.0:

@@ -30,7 +30,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .eval_metrics import Rect
-from .imagecore import GrayImage, build_pyramid, compute_gradients, resize_bilinear
+from .imagecore import (
+    DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, GrayImage, build_pyramid, compute_gradients, resize_bilinear,
+)
 
 DEFAULT_CELL_SIZE = 8
 DEFAULT_BINS = 9
@@ -369,8 +371,8 @@ def detect_occupancy(
     model: PartMixtureModel,
     img: GrayImage,
     threshold: float,
-    levels: int = 3,
-    factor: float = 1.0 / math.sqrt(2.0),
+    levels: int = DEFAULT_LEVELS,
+    factor: float = DEFAULT_SCALE_FACTOR,
 ) -> tuple[str, Detection]:
     """Run HoG + inference on a scale pyramid; 'person' iff the best score
     clears the threshold. The detection box is mapped back to original

@@ -33,6 +33,21 @@ BOW_REGIONS = 1 + 4 + 16
 UNIT_NORM_TOL = 1e-9
 
 
+def check_quantizer_kind(encoder_kind: str, quantizer) -> None:
+    """Fisher needs a GMM; bow and vlad need a k-means codebook."""
+    if encoder_kind not in ENCODER_KINDS:
+        raise DataError(f"unknown encoder kind {encoder_kind!r}")
+    if encoder_kind == "fisher" and not isinstance(quantizer, GmmModel):
+        raise DataError("fisher encoding requires a GMM vocabulary")
+    if encoder_kind != "fisher" and not isinstance(quantizer, KmeansCodebook):
+        raise DataError(f"{encoder_kind} encoding requires a k-means codebook")
+
+
+def native_length(encoder_kind: str, K: int, d: int) -> int:
+    """Signature length before any final PCA: BOW_REGIONS*K histograms, else K*d."""
+    return BOW_REGIONS * K if encoder_kind == "bow" else K * d
+
+
 @dataclass(frozen=True)
 class EncodedVector:
     """One fixed-length image signature plus the provenance of its encoder.
@@ -54,7 +69,7 @@ class EncodedVector:
         if self.encoder_kind not in ENCODER_KINDS:
             raise DataError(f"unknown encoder kind {self.encoder_kind!r}")
         if self.compressed_dim is None:
-            expected = BOW_REGIONS * self.K if self.encoder_kind == "bow" else self.K * self.d
+            expected = native_length(self.encoder_kind, self.K, self.d)
         else:
             expected = self.compressed_dim
         if v.shape != (expected,):

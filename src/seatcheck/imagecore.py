@@ -20,6 +20,10 @@ from .errors import DataError
 # downstream, so pyramid construction refuses to create them.
 MIN_LEVEL_SIDE = 24
 
+# Default scale pyramid: three levels, each 1/sqrt(2) the side of the last.
+DEFAULT_LEVELS = 3
+DEFAULT_SCALE_FACTOR = 1.0 / math.sqrt(2.0)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -150,7 +154,9 @@ def resize_bilinear(img: GrayImage, height: int, width: int) -> GrayImage:
     return GrayImage(np.clip(_bilinear_resize(img.pixels, height, width), 0.0, 1.0))
 
 
-def build_pyramid(img: GrayImage, levels: int = 3, factor: float = 1.0 / math.sqrt(2.0)) -> ScalePyramid:
+def build_pyramid(
+    img: GrayImage, levels: int = DEFAULT_LEVELS, factor: float = DEFAULT_SCALE_FACTOR
+) -> ScalePyramid:
     """Downsample ``img`` into ``levels`` bilinear levels at the given per-level factor.
 
     Level ``l`` has side lengths round(original * factor**l). Raises if any

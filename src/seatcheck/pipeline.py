@@ -5,21 +5,32 @@ only; the test split flows through frozen transforms. Every random choice
 takes an explicit seed from the config, so a config determines the model
 file and metric CSVs byte-for-byte. Artifacts are written atomically at the
 end of the run: a failed stage leaves no partial model behind.
+
+Each stage has one definition here, shared by ``run_pipeline``,
+``score_image`` and the CLI. A test image takes the same per-image path
+(``describe`` then ``signature``) as an image scored with a saved model.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .codebooks import GmmModel, KmeansCodebook, train_gmm, train_kmeans
-from .dense_descriptors import DescriptorSet, extract_dense
-from .dpm_face import build_synthetic_face_model, detect_occupancy
-from .encoders import EncodedVector, encode_bow, encode_fv, encode_vlad
+from .codebooks import train_gmm, train_kmeans
+from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, DescriptorSet, extract_dense
+from .dpm_face import PartMixtureModel, build_synthetic_face_model, detect_occupancy
+from .encoders import (
+    ENCODER_KINDS,
+    EncodedVector,
+    check_quantizer_kind,
+    encode_bow,
+    encode_fv,
+    encode_vlad,
+)
 from .errors import DataError, SeatcheckError, StageError
 from .eval_metrics import (
     ScoredSample,
@@ -30,21 +41,13 @@ from .eval_metrics import (
     curve_to_csv,
     roc_curve,
 )
-from .imagecore import build_pyramid
-from .linear_classifier import score, train_svm
-from .pca_reduce import fit_pca, project, project_set
+from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, GrayImage, build_pyramid
+from .linear_classifier import LinearModel, score, train_svm
+from .pca_reduce import PcaModel, fit_pca, project, project_set
 from .store import PipelineModel, atomic_write_text, load_pca, load_quantizer, save_model
 from .synthetic import LabeledImage, split
 
 DEFAULT_YIELD_GRID = tuple(q / 20.0 for q in range(1, 21))
-
-
-def check_quantizer_kind(encoder: str, quantizer) -> None:
-    """Fisher needs a GMM; bow/vlad need a k-means codebook."""
-    if encoder == "fisher" and not isinstance(quantizer, GmmModel):
-        raise DataError("fisher encoding requires a GMM vocabulary")
-    if encoder in ("bow", "vlad") and not isinstance(quantizer, KmeansCodebook):
-        raise DataError(f"{encoder} encoding requires a k-means codebook")
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,10 @@ class PipelineConfig:
     k: int = 32
     pca_dim: int | None = 64
     final_pca: int | None = None  # e.g. 512 to compress FV/VLAD signatures
-    patch: int = 24
-    stride: int = 4
-    levels: int = 3
-    scale_factor: float = 1.0 / math.sqrt(2.0)
+    patch: int = DEFAULT_PATCH
+    stride: int = DEFAULT_STRIDE
+    levels: int = DEFAULT_LEVELS
+    scale_factor: float = DEFAULT_SCALE_FACTOR
     lambda_: float = 1e-5
     epochs: int = 50
     train_fraction: float = 0.8
@@ -75,6 +78,13 @@ class PipelineConfig:
     pca_path: str | None = None
     vocab_path: str | None = None
 
+    def __post_init__(self):
+        if self.encoder not in ENCODER_KINDS:
+            raise DataError(f"encoder must be one of {ENCODER_KINDS}, got {self.encoder!r}")
+        for name in ("k", "patch", "stride", "levels", "epochs", "vocab_sample"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be positive, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -88,7 +98,82 @@ class PipelineResult:
     artifacts: tuple[str, ...] = field(default=())
 
 
+def describe(image: GrayImage, geometry, pca: PcaModel | None = None, source_id: str = "") -> DescriptorSet:
+    """Dense descriptors of one image, projected by ``pca`` when given.
+
+    ``geometry`` is anything with ``patch``, ``stride``, ``levels`` and
+    ``scale_factor`` attributes: a PipelineConfig, a PipelineModel, or the
+    CLI's parsed arguments.
+    """
+    pyr = build_pyramid(image, levels=geometry.levels, factor=geometry.scale_factor)
+    ds = extract_dense(pyr, patch=geometry.patch, stride=geometry.stride, source_id=source_id)
+    return ds if pca is None else project_set(pca, ds)
+
+
+def _compress_vector(final_pca: PcaModel, vec: EncodedVector) -> EncodedVector:
+    """Re-project a signature with the final PCA and L2-normalize it."""
+    proj = project(final_pca, vec.values)
+    norm = np.linalg.norm(proj)
+    return EncodedVector(
+        values=proj / norm if norm != 0.0 else proj,
+        encoder_kind=vec.encoder_kind,
+        K=vec.K,
+        d=vec.d,
+        normalized=True,
+        compressed_dim=final_pca.d_out,
+    )
+
+
+def signature(ds: DescriptorSet, quantizer, encoder_kind: str, final_pca=None) -> EncodedVector:
+    """Encode one descriptor set, then apply the final PCA when given."""
+    check_quantizer_kind(encoder_kind, quantizer)
+    encode = {"bow": encode_bow, "vlad": encode_vlad, "fisher": encode_fv}[encoder_kind]
+    vec = encode(ds, quantizer)
+    return vec if final_pca is None else _compress_vector(final_pca, vec)
+
+
+def pool_descriptors(sets: list[DescriptorSet], cap: int | None = None, seed: int = 0) -> np.ndarray:
+    """Stack the descriptors of ``sets``; above ``cap`` rows, keep a seeded random subsample."""
+    pool = np.concatenate([d.vectors for d in sets])
+    if cap is None or pool.shape[0] <= cap:
+        return pool
+    rng = np.random.default_rng(seed)
+    return pool[rng.choice(pool.shape[0], size=cap, replace=False)]
+
+
+def evaluate(classifier: LinearModel, vectors, labels, ids, yield_grid=DEFAULT_YIELD_GRID):
+    """Score signatures against their labels.
+
+    Returns (samples, accuracy, ROC curve, AUC, accuracy-vs-yield curve).
+    """
+    samples = tuple(
+        ScoredSample(id=i, score=score(classifier, v), label=y)
+        for v, y, i in zip(vectors, labels, ids)
+    )
+    roc, auc = roc_curve(samples)
+    return samples, accuracy(samples), roc, auc, accuracy_vs_yield(samples, list(yield_grid))
+
+
+def build_face_model(images: list[LabeledImage], **options) -> PartMixtureModel:
+    """Synthesize the part model from the face boxes and empty seats of ``images``;
+    ``options`` go to build_synthetic_face_model."""
+    faces = [(im.image, im.gt_face_box) for im in images if im.label == "person"]
+    negatives = [im.image for im in images if im.label == "empty"]
+    return build_synthetic_face_model(faces, negatives, **options)
+
+
+def detect_faces(model: PartMixtureModel, images, levels: int, factor: float) -> list:
+    """(labeled sample of the best detection's score, that Detection) per image."""
+    out = []
+    for im in images:
+        _, det = detect_occupancy(model, im.image, threshold=-math.inf, levels=levels, factor=factor)
+        out.append((ScoredSample(id=im.image_id, score=det.score, label=im.target), det))
+    return out
+
+
 def _stage(name):
+    """Tag errors raised inside run_pipeline's stages with the stage name."""
+
     def wrap(fn):
         def run(*args, **kwargs):
             try:
@@ -102,37 +187,26 @@ def _stage(name):
 
 
 @_stage("extract")
-def _extract_all(images, config) -> list[DescriptorSet]:
-    out = []
-    for im in images:
-        pyr = build_pyramid(im.image, levels=config.levels, factor=config.scale_factor)
-        out.append(extract_dense(pyr, patch=config.patch, stride=config.stride, source_id=im.image_id))
-    return out
+def _extract_all(images, config, pca=None) -> list[DescriptorSet]:
+    return [describe(im.image, config, pca, im.image_id) for im in images]
 
 
 @_stage("pca")
-def _fit_project_pca(train_sets, test_sets, config):
-    if config.pca_dim is None and config.pca_path is None:
-        return None, train_sets, test_sets
+def _fit_project_pca(train_sets, config):
     if config.pca_path is not None:
         pca = load_pca(config.pca_path)
+    elif config.pca_dim is not None:
+        pca = fit_pca(pool_descriptors(train_sets), config.pca_dim)
     else:
-        pca = fit_pca(np.concatenate([d.vectors for d in train_sets]), config.pca_dim)
-    return (
-        pca,
-        [project_set(pca, d) for d in train_sets],
-        [project_set(pca, d) for d in test_sets],
-    )
+        return None, train_sets
+    return pca, [project_set(pca, d) for d in train_sets]
 
 
 @_stage("vocab")
 def _train_vocab(train_sets, config):
     if config.vocab_path is not None:
         return load_quantizer(config.vocab_path)
-    pool = np.concatenate([d.vectors for d in train_sets])
-    if pool.shape[0] > config.vocab_sample:
-        rng = np.random.default_rng(config.sample_seed)
-        pool = pool[rng.choice(pool.shape[0], size=config.vocab_sample, replace=False)]
+    pool = pool_descriptors(train_sets, config.vocab_sample, config.sample_seed)
     if config.encoder == "fisher":
         return train_gmm(
             pool, K=config.k, seed=config.vocab_seed,
@@ -142,37 +216,16 @@ def _train_vocab(train_sets, config):
 
 
 @_stage("encode")
-def _encode_all(sets, quantizer, config) -> list[EncodedVector]:
-    check_quantizer_kind(config.encoder, quantizer)
-    encode = {"bow": encode_bow, "vlad": encode_vlad, "fisher": encode_fv}[config.encoder]
-    return [encode(d, quantizer) for d in sets]
+def _encode_all(sets, quantizer, config, final_pca=None) -> list[EncodedVector]:
+    return [signature(d, quantizer, config.encoder, final_pca) for d in sets]
 
 
 @_stage("final-pca")
-def _compress(train_enc, test_enc, config):
+def _compress(train_enc, config):
     if config.final_pca is None:
-        return None, train_enc, test_enc
+        return None, train_enc
     pca = fit_pca(np.stack([v.values for v in train_enc]), config.final_pca)
-
-    def apply(vectors):
-        out = []
-        for v in vectors:
-            proj = project(pca, v.values)
-            norm = np.linalg.norm(proj)
-            proj = proj / norm if norm != 0.0 else proj
-            out.append(
-                EncodedVector(
-                    values=proj,
-                    encoder_kind=v.encoder_kind,
-                    K=v.K,
-                    d=v.d,
-                    normalized=True,
-                    compressed_dim=config.final_pca,
-                )
-            )
-        return out
-
-    return pca, apply(train_enc), apply(test_enc)
+    return pca, [_compress_vector(pca, v) for v in train_enc]
 
 
 @_stage("svm")
@@ -187,22 +240,10 @@ def _train_classifier(train_enc, train_labels, config):
 
 @_stage("dpm")
 def _dpm_comparison(train_images, test_images, config):
-    faces = [(im.image, im.gt_face_box) for im in train_images if im.label == "person"]
-    negatives = [im.image for im in train_images if im.label == "empty"]
-    model = build_synthetic_face_model(faces, negatives, seed=config.dpm_seed)
-    samples = []
-    for im in test_images:
-        _, det = detect_occupancy(model, im.image, threshold=-math.inf,
-                                  levels=config.levels, factor=config.scale_factor)
-        samples.append(
-            ScoredSample(id=im.image_id, score=det.score, label=1 if im.label == "person" else -1)
-        )
-    threshold, acc = best_threshold(samples)
+    model = build_face_model(train_images, seed=config.dpm_seed)
+    scored = detect_faces(model, test_images, config.levels, config.scale_factor)
+    threshold, acc = best_threshold([s for s, _ in scored])
     return model, threshold, acc
-
-
-def _labels_of(images: list[LabeledImage]) -> list[int]:
-    return [1 if im.label == "person" else -1 for im in images]
 
 
 def run_pipeline(
@@ -220,23 +261,16 @@ def run_pipeline(
     except SeatcheckError as e:
         raise StageError("split", e) from e
 
-    train_sets = _extract_all(train_images, config)
-    test_sets = _extract_all(test_images, config)
-    pca, train_sets, test_sets = _fit_project_pca(train_sets, test_sets, config)
+    pca, train_sets = _fit_project_pca(_extract_all(train_images, config), config)
     quantizer = _train_vocab(train_sets, config)
-    train_enc = _encode_all(train_sets, quantizer, config)
-    test_enc = _encode_all(test_sets, quantizer, config)
-    final_pca, train_enc, test_enc = _compress(train_enc, test_enc, config)
-    classifier = _train_classifier(train_enc, _labels_of(train_images), config)
+    final_pca, train_enc = _compress(_encode_all(train_sets, quantizer, config), config)
+    classifier = _train_classifier(train_enc, [im.target for im in train_images], config)
+    # Test images take the per-image path score_image takes with the saved model.
+    test_enc = _encode_all(_extract_all(test_images, config, pca), quantizer, config, final_pca)
 
+    labels, ids = [im.target for im in test_images], [im.image_id for im in test_images]
     try:
-        samples = tuple(
-            ScoredSample(id=im.image_id, score=score(classifier, v), label=y)
-            for im, v, y in zip(test_images, test_enc, _labels_of(test_images))
-        )
-        acc = accuracy(samples)
-        roc, auc = roc_curve(samples)
-        yc = accuracy_vs_yield(samples, list(config.yield_grid))
+        samples, acc, roc, auc, yc = evaluate(classifier, test_enc, labels, ids, config.yield_grid)
     except SeatcheckError as e:
         raise StageError("evaluate", e) from e
 
@@ -255,6 +289,10 @@ def run_pipeline(
         classifier=classifier,
         final_pca=final_pca,
         dpm=dpm_model,
+        patch=config.patch,
+        stride=config.stride,
+        levels=config.levels,
+        scale_factor=config.scale_factor,
     )
 
     artifacts: list[str] = []
@@ -298,28 +336,7 @@ def run_pipeline(
     )
 
 
-def score_image(model: PipelineModel, image, config: PipelineConfig | None = None) -> float:
-    """Score one GrayImage with a persisted pipeline model."""
-    config = config or PipelineConfig()
-    pyr = build_pyramid(image, levels=config.levels, factor=config.scale_factor)
-    ds = extract_dense(pyr, patch=config.patch, stride=config.stride)
-    if model.pca is not None:
-        ds = project_set(model.pca, ds)
-    encode = {"bow": encode_bow, "vlad": encode_vlad, "fisher": encode_fv}[model.encoder_kind]
-    vec = encode(ds, model.quantizer)
-    if model.final_pca is not None:
-        proj = project(model.final_pca, vec.values)
-        norm = np.linalg.norm(proj)
-        vec = EncodedVector(
-            values=proj / norm if norm != 0.0 else proj,
-            encoder_kind=vec.encoder_kind,
-            K=vec.K,
-            d=vec.d,
-            normalized=True,
-            compressed_dim=model.final_pca.d_out,
-        )
-    return score(model.classifier, vec)
-
-
-def config_with(config: PipelineConfig, **kwargs) -> PipelineConfig:
-    return replace(config, **kwargs)
+def score_image(model: PipelineModel, image: GrayImage) -> float:
+    """Score one GrayImage with a persisted pipeline model and its own geometry."""
+    ds = describe(image, model, model.pca)
+    return score(model.classifier, signature(ds, model.quantizer, model.encoder_kind, model.final_pca))

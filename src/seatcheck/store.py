@@ -16,21 +16,25 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .codebooks import GmmModel, KmeansCodebook
-from .dense_descriptors import DescriptorSet
+from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, DescriptorSet
 from .dpm_face import Edge, PartMixtureModel, PartTree
-from .encoders import BOW_REGIONS, EncodedVector
+from .encoders import EncodedVector, check_quantizer_kind, native_length
 from .errors import DataError
+from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
 from .linear_classifier import LinearModel
 from .pca_reduce import PcaModel
 
 MODEL_FORMAT = "seatcheck-model"
-MODEL_VERSION = 1
+# Version 2 added the extraction geometry; version 1 files are rejected
+# because their geometry is unknown.
+MODEL_VERSION = 2
 DESC_MAGIC = b"SCDS1\n"
 CORPUS_MAGIC = b"SCEC1\n"
 
@@ -53,9 +57,20 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+@contextmanager
+def _decoding(what: str):
+    """Report a file that cannot be read or decoded (missing keys, wrong JSON
+    types, bad array shapes) as a DataError."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError) as e:
+        raise DataError(f"cannot read {what}: {e!r}") from e
+
+
 @dataclass(frozen=True)
 class PipelineModel:
-    """Everything needed to score a new image, bundled and versioned."""
+    """Everything needed to score a new image, its extraction geometry
+    included, bundled and versioned."""
 
     encoder_kind: str
     k: int
@@ -65,24 +80,20 @@ class PipelineModel:
     classifier: LinearModel
     final_pca: PcaModel | None = None
     dpm: PartMixtureModel | None = None
-    version: int = MODEL_VERSION
+    patch: int = DEFAULT_PATCH
+    stride: int = DEFAULT_STRIDE
+    levels: int = DEFAULT_LEVELS
+    scale_factor: float = DEFAULT_SCALE_FACTOR
 
     def __post_init__(self):
-        if self.version != MODEL_VERSION:
-            raise DataError(f"unsupported model version {self.version}")
-        if self.encoder_kind == "fisher":
-            if not isinstance(self.quantizer, GmmModel):
-                raise DataError("fisher encoding requires a GMM quantizer")
-        elif self.encoder_kind in ("bow", "vlad"):
-            if not isinstance(self.quantizer, KmeansCodebook):
-                raise DataError(f"{self.encoder_kind} encoding requires a k-means codebook")
-        else:
-            raise DataError(f"unknown encoder kind {self.encoder_kind!r}")
+        check_quantizer_kind(self.encoder_kind, self.quantizer)
+        if min(self.patch, self.stride, self.levels) < 1 or not 0.0 < self.scale_factor < 1.0:
+            raise DataError("invalid extraction geometry")
         if self.quantizer.K != self.k or self.quantizer.d != self.d:
             raise DataError("quantizer shape does not match declared (k, d)")
         if self.pca is not None and self.pca.d_out != self.d:
             raise DataError(f"PCA output dim {self.pca.d_out} does not match d={self.d}")
-        native = BOW_REGIONS * self.k if self.encoder_kind == "bow" else self.k * self.d
+        native = native_length(self.encoder_kind, self.k, self.d)
         expected = self.final_pca.d_out if self.final_pca is not None else native
         if self.final_pca is not None and self.final_pca.d_in != native:
             raise DataError("final PCA input dim does not match encoded length")
@@ -136,6 +147,24 @@ def _quantizer_from_json(obj):
     if obj["type"] == "kmeans":
         return KmeansCodebook(centroids=np.array(obj["centroids"]))
     raise DataError(f"unknown quantizer type {obj['type']!r}")
+
+
+def _classifier_to_json(clf: LinearModel):
+    return {
+        "weights": clf.weights.tolist(),
+        "bias": clf.bias,
+        "lambda": clf.lambda_,
+        "trained_on": clf.trained_on,
+    }
+
+
+def _classifier_from_json(obj) -> LinearModel:
+    return LinearModel(
+        weights=np.array(obj["weights"]),
+        bias=obj["bias"],
+        lambda_=obj["lambda"],
+        trained_on=obj["trained_on"],
+    )
 
 
 def _dpm_to_json(model: PartMixtureModel | None):
@@ -205,48 +234,48 @@ def _dpm_from_json(obj) -> PartMixtureModel | None:
 def model_to_json(model: PipelineModel) -> str:
     doc = {
         "format": MODEL_FORMAT,
-        "version": model.version,
+        "version": MODEL_VERSION,
+        "extract": {
+            "patch": model.patch,
+            "stride": model.stride,
+            "levels": model.levels,
+            "scale_factor": model.scale_factor,
+        },
         "encoder": {"kind": model.encoder_kind, "k": model.k, "d": model.d},
         "pca": _pca_to_json(model.pca),
         "quantizer": _quantizer_to_json(model.quantizer),
         "final_pca": _pca_to_json(model.final_pca),
-        "classifier": {
-            "weights": model.classifier.weights.tolist(),
-            "bias": model.classifier.bias,
-            "lambda": model.classifier.lambda_,
-            "trained_on": model.classifier.trained_on,
-        },
+        "classifier": _classifier_to_json(model.classifier),
         "dpm": _dpm_to_json(model.dpm),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def model_from_json(text: str) -> PipelineModel:
-    try:
+    with _decoding("model file"):
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataError(f"model file is not valid JSON: {e}") from e
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataError("not a seatcheck model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise DataError(f"unsupported model version {doc.get('version')}")
-    cls = doc["classifier"]
-    return PipelineModel(
-        encoder_kind=doc["encoder"]["kind"],
-        k=doc["encoder"]["k"],
-        d=doc["encoder"]["d"],
-        pca=_pca_from_json(doc["pca"]),
-        quantizer=_quantizer_from_json(doc["quantizer"]),
-        final_pca=_pca_from_json(doc["final_pca"]),
-        classifier=LinearModel(
-            weights=np.array(cls["weights"]),
-            bias=cls["bias"],
-            lambda_=cls["lambda"],
-            trained_on=cls["trained_on"],
-        ),
-        dpm=_dpm_from_json(doc["dpm"]),
-        version=doc["version"],
-    )
+        if doc.get("format") != MODEL_FORMAT:
+            raise DataError("not a seatcheck model file")
+        if doc.get("version") != MODEL_VERSION:
+            raise DataError(
+                f"unsupported model version {doc.get('version')!r}; this release reads "
+                f"version {MODEL_VERSION} only, so retrain the model"
+            )
+        geometry = doc["extract"]
+        return PipelineModel(
+            encoder_kind=doc["encoder"]["kind"],
+            k=doc["encoder"]["k"],
+            d=doc["encoder"]["d"],
+            pca=_pca_from_json(doc["pca"]),
+            quantizer=_quantizer_from_json(doc["quantizer"]),
+            final_pca=_pca_from_json(doc["final_pca"]),
+            classifier=_classifier_from_json(doc["classifier"]),
+            dpm=_dpm_from_json(doc["dpm"]),
+            patch=geometry["patch"],
+            stride=geometry["stride"],
+            levels=geometry["levels"],
+            scale_factor=geometry["scale_factor"],
+        )
 
 
 def save_model(model: PipelineModel, path: str | Path) -> None:
@@ -254,75 +283,53 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    try:
+    with _decoding("model file"):
         text = Path(path).read_text()
-    except OSError as e:
-        raise DataError(f"cannot read model file: {e}") from e
     return model_from_json(text)
 
 
+def _save_component(obj, path: str | Path) -> None:
+    atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _load_component(path: str | Path, from_json, what: str):
+    with _decoding(what):
+        obj = from_json(json.loads(Path(path).read_text()))
+    if obj is None:
+        raise DataError(f"{what} holds null")
+    return obj
+
+
 def save_quantizer(q: KmeansCodebook | GmmModel, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(_quantizer_to_json(q), sort_keys=True) + "\n")
+    _save_component(_quantizer_to_json(q), path)
 
 
-def load_quantizer(path: str | Path):
-    try:
-        return _quantizer_from_json(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        raise DataError(f"cannot read quantizer file: {e}") from e
+def load_quantizer(path: str | Path) -> KmeansCodebook | GmmModel:
+    return _load_component(path, _quantizer_from_json, "quantizer file")
 
 
 def save_pca(m: PcaModel, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(_pca_to_json(m), sort_keys=True) + "\n")
+    _save_component(_pca_to_json(m), path)
 
 
 def load_pca(path: str | Path) -> PcaModel:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read PCA file: {e}") from e
-    m = _pca_from_json(obj)
-    if m is None:
-        raise DataError("PCA file holds null")
-    return m
+    return _load_component(path, _pca_from_json, "PCA file")
 
 
 def save_classifier(clf: LinearModel, path: str | Path) -> None:
-    doc = {
-        "weights": clf.weights.tolist(),
-        "bias": clf.bias,
-        "lambda": clf.lambda_,
-        "trained_on": clf.trained_on,
-    }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    _save_component(_classifier_to_json(clf), path)
 
 
 def load_classifier(path: str | Path) -> LinearModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-        return LinearModel(
-            weights=np.array(doc["weights"]),
-            bias=doc["bias"],
-            lambda_=doc["lambda"],
-            trained_on=doc["trained_on"],
-        )
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        raise DataError(f"cannot read classifier file: {e}") from e
+    return _load_component(path, _classifier_from_json, "classifier file")
 
 
 def save_dpm_model(model: PartMixtureModel, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(_dpm_to_json(model), sort_keys=True) + "\n")
+    _save_component(_dpm_to_json(model), path)
 
 
 def load_dpm_model(path: str | Path) -> PartMixtureModel:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read DPM model file: {e}") from e
-    m = _dpm_from_json(obj)
-    if m is None:
-        raise DataError("DPM file holds null")
-    return m
+    return _load_component(path, _dpm_from_json, "DPM model file")
 
 
 # --- descriptor corpus ---------------------------------------------------------
@@ -352,36 +359,34 @@ def save_descriptor_sets(sets: list[DescriptorSet], path: str | Path) -> None:
 
 
 def load_descriptor_sets(path: str | Path) -> list[DescriptorSet]:
-    try:
+    with _decoding("descriptor corpus"):
         data = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read descriptor corpus: {e}") from e
-    if not data.startswith(DESC_MAGIC):
-        raise DataError("not a seatcheck descriptor corpus")
-    nl = data.index(b"\n", len(DESC_MAGIC))
-    header = json.loads(data[len(DESC_MAGIC) : nl])
-    dim = header["dim"]
-    out = []
-    offset = nl + 1
-    width = 3 + dim
-    for entry in header["images"]:
-        count = entry["count"]
-        nbytes = count * width * 8
-        block = np.frombuffer(data[offset : offset + nbytes], dtype="<f8")
-        if block.size != count * width:
-            raise DataError("descriptor corpus truncated")
-        block = block.reshape(count, width)
-        offset += nbytes
-        out.append(
-            DescriptorSet(
-                vectors=block[:, 3:].copy(),
-                x_norm=block[:, 0].copy(),
-                y_norm=block[:, 1].copy(),
-                scale_level=block[:, 2].astype(np.int64),
-                source_id=entry["id"],
+        if not data.startswith(DESC_MAGIC):
+            raise DataError("not a seatcheck descriptor corpus")
+        nl = data.index(b"\n", len(DESC_MAGIC))
+        header = json.loads(data[len(DESC_MAGIC) : nl])
+        dim = header["dim"]
+        out = []
+        offset = nl + 1
+        width = 3 + dim
+        for entry in header["images"]:
+            count = entry["count"]
+            nbytes = count * width * 8
+            block = np.frombuffer(data[offset : offset + nbytes], dtype="<f8")
+            if block.size != count * width:
+                raise DataError("descriptor corpus truncated")
+            block = block.reshape(count, width)
+            offset += nbytes
+            out.append(
+                DescriptorSet(
+                    vectors=block[:, 3:].copy(),
+                    x_norm=block[:, 0].copy(),
+                    y_norm=block[:, 1].copy(),
+                    scale_level=block[:, 2].astype(np.int64),
+                    source_id=entry["id"],
+                )
             )
-        )
-    return out
+        return out
 
 
 # --- encoded corpus -------------------------------------------------------------
@@ -423,31 +428,32 @@ def save_corpus(
 
 
 def load_corpus(path: str | Path) -> tuple[list[EncodedVector], list[int] | None, list[str]]:
-    try:
+    with _decoding("encoded corpus"):
         data = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read corpus: {e}") from e
-    if not data.startswith(CORPUS_MAGIC):
-        raise DataError("not a seatcheck encoded corpus")
-    nl = data.index(b"\n", len(CORPUS_MAGIC))
-    header = json.loads(data[len(CORPUS_MAGIC) : nl])
-    count, length = header["count"], header["length"]
-    mat = np.frombuffer(data[nl + 1 :], dtype="<f8")
-    if mat.size != count * length:
-        raise DataError("corpus truncated")
-    mat = mat.reshape(count, length)
-    vectors = [
-        EncodedVector(
-            values=mat[i].copy(),
-            encoder_kind=header["encoder_kind"],
-            K=header["k"],
-            d=header["d"],
-            normalized=header["normalized"],
-            compressed_dim=header["compressed_dim"],
-        )
-        for i in range(count)
-    ]
-    return vectors, header["labels"], header["ids"]
+        if not data.startswith(CORPUS_MAGIC):
+            raise DataError("not a seatcheck encoded corpus")
+        nl = data.index(b"\n", len(CORPUS_MAGIC))
+        header = json.loads(data[len(CORPUS_MAGIC) : nl])
+        count, length = header["count"], header["length"]
+        mat = np.frombuffer(data[nl + 1 :], dtype="<f8")
+        if mat.size != count * length:
+            raise DataError("corpus truncated")
+        mat = mat.reshape(count, length)
+        vectors = [
+            EncodedVector(
+                values=mat[i].copy(),
+                encoder_kind=header["encoder_kind"],
+                K=header["k"],
+                d=header["d"],
+                normalized=header["normalized"],
+                compressed_dim=header["compressed_dim"],
+            )
+            for i in range(count)
+        ]
+        labels, ids = header["labels"], header["ids"]
+        if len(ids) != count or (labels is not None and len(labels) != count):
+            raise DataError("corpus ids/labels do not match its count")
+        return vectors, labels, ids
 
 
 def corpus_to_csv(vectors: list[EncodedVector], labels: list[int] | None, ids: list[str]) -> str:

@@ -73,6 +73,11 @@ class LabeledImage:
             if b.x < 0 or b.y < 0 or b.x + b.w > self.image.width or b.y + b.h > self.image.height:
                 raise DataError("gt_face_box must lie inside the image")
 
+    @property
+    def target(self) -> int:
+        """Classifier label: +1 for an occupied seat, -1 for an empty one."""
+        return 1 if self.label == "person" else -1
+
 
 def _ellipse_blend(canvas, cx, cy, rx, ry, value, softness=4.0):
     h, w = canvas.shape

@@ -9,6 +9,7 @@ roadway imagery and are not reproducible here.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from seatcheck.eval_metrics import (
     overlap,
     roc_curve,
 )
-from seatcheck.pipeline import PipelineConfig, config_with, run_pipeline, score_image
+from seatcheck.pipeline import PipelineConfig, run_pipeline, score_image
 from seatcheck.store import load_model
 from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
@@ -310,7 +311,7 @@ def canonical_run(tmp_path_factory):
     images = generate_synthetic(SyntheticSpec(count=400, positive_fraction=0.5, seed=7))
     out = tmp_path_factory.mktemp("canonical")
     start = time.time()
-    result = run_pipeline(images, config_with(CANONICAL, with_dpm=True), out_dir=out)
+    result = run_pipeline(images, replace(CANONICAL, with_dpm=True), out_dir=out)
     elapsed = time.time() - start
     return result, elapsed, out
 
@@ -371,7 +372,7 @@ def test_criterion_7_metric_exactness():
 def test_criterion_8_determinism_and_round_trip(canonical_run, tmp_path):
     # bit-identical artifacts for a smaller rerun of the same config twice
     images = generate_synthetic(SyntheticSpec(count=80, positive_fraction=0.5, seed=7))
-    small = config_with(CANONICAL, k=8, vocab_sample=20000, epochs=20)
+    small = replace(CANONICAL, k=8, vocab_sample=20000, epochs=20)
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
         run_pipeline(images, small, out_dir=d)

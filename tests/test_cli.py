@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from seatcheck import store
 from seatcheck.cli import main
+from seatcheck.pipeline import PipelineConfig, describe
+from seatcheck.synthetic import load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +53,20 @@ def test_staged_workflow(dataset_dir, tmp_path, capsys):
     assert main(["evaluate", "--corpus", corpus, "--classifier", svm, "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "roc.csv").exists() and (out_dir / "yield.csv").exists()
     assert "accuracy" in capsys.readouterr().out
+
+
+def test_extract_uses_the_pipeline_describe_step(dataset_dir, tmp_path):
+    manifest = dataset_dir / "manifest.csv"
+    desc = tmp_path / "desc.bin"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(desc), "--stride", "8"]) == 0
+    geometry = PipelineConfig(stride=8)
+    expected = [describe(im.image, geometry, source_id=im.image_id) for im in load_dataset(manifest)]
+    got = store.load_descriptor_sets(desc)
+    assert [d.source_id for d in got] == [d.source_id for d in expected]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.x_norm, b.x_norm) and np.array_equal(a.y_norm, b.y_norm)
+        assert np.array_equal(a.scale_level, b.scale_level)
 
 
 def test_bow_workflow_with_codebook(dataset_dir, tmp_path):
@@ -110,6 +128,22 @@ def test_usage_error_exits_1():
 def test_data_error_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
     rc = main(["extract", "--manifest", missing, "--out", str(tmp_path / "d.bin")])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_truncated_corpus_exits_2(dataset_dir, tmp_path, capsys):
+    manifest = str(dataset_dir / "manifest.csv")
+    desc = str(tmp_path / "desc.bin")
+    assert main(["extract", "--manifest", manifest, "--out", desc]) == 0
+    cb = str(tmp_path / "cb.json")
+    assert main(["train-codebook", "--descriptors", desc, "--k", "4", "--sample", "2000",
+                 "--out", cb]) == 0
+    corpus = tmp_path / "corpus.bin"
+    assert main(["encode", "--descriptors", desc, "--encoder", "bow", "--vocab", cb,
+                 "--manifest", manifest, "--out", str(corpus)]) == 0
+    corpus.write_bytes(corpus.read_bytes()[:20])
+    rc = main(["train-svm", "--corpus", str(corpus), "--out", str(tmp_path / "svm.json")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
 

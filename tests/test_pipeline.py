@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from seatcheck.codebooks import GmmModel
-from seatcheck.errors import StageError
-from seatcheck.pipeline import PipelineConfig, config_with, run_pipeline, score_image
+from seatcheck.errors import DataError, StageError
+from seatcheck.pipeline import PipelineConfig, run_pipeline, score_image
 from seatcheck.store import load_model, save_quantizer
 from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
@@ -34,13 +36,13 @@ def test_fisher_pipeline_end_to_end(corpus, tmp_path):
     assert "fisher" in (tmp_path / "table.csv").read_text()
 
     model = load_model(tmp_path / "model.json")
-    s = score_image(model, corpus[0].image, SMALL)
+    s = score_image(model, corpus[0].image)
     assert np.isfinite(s)
 
 
 def test_bow_and_vlad_pipelines(corpus):
     for encoder in ("bow", "vlad"):
-        result = run_pipeline(corpus, config_with(SMALL, encoder=encoder))
+        result = run_pipeline(corpus, replace(SMALL, encoder=encoder))
         assert 0.0 <= result.accuracy <= 1.0
 
 
@@ -57,11 +59,11 @@ def test_save_load_score_round_trip_exact(corpus, tmp_path):
     result = run_pipeline(corpus, SMALL, out_dir=tmp_path)
     back = load_model(tmp_path / "model.json")
     for im in corpus[:5]:
-        assert score_image(back, im.image, SMALL) == score_image(result.model, im.image, SMALL)
+        assert score_image(back, im.image) == score_image(result.model, im.image)
 
 
 def test_final_pca_compression(corpus):
-    result = run_pipeline(corpus, config_with(SMALL, final_pca=10))
+    result = run_pipeline(corpus, replace(SMALL, final_pca=10))
     assert result.model.final_pca is not None
     assert result.model.classifier.weights.shape == (10,)
     assert result.model.classifier.trained_on.endswith(":pca=10")
@@ -79,15 +81,34 @@ def test_mismatched_pretrained_vocab_is_stage_tagged(corpus, tmp_path):
     save_quantizer(wrong_gmm, vocab_path)
     out = tmp_path / "out"
     with pytest.raises(StageError) as err:
-        run_pipeline(corpus, config_with(SMALL, vocab_path=str(vocab_path)), out_dir=out)
+        run_pipeline(corpus, replace(SMALL, vocab_path=str(vocab_path)), out_dir=out)
     assert err.value.stage == "encode"
     assert not (out / "model.json").exists()  # failure atomicity
 
 
 def test_dpm_comparison_included(corpus, tmp_path):
-    result = run_pipeline(corpus, config_with(SMALL, with_dpm=True), out_dir=tmp_path)
+    result = run_pipeline(corpus, replace(SMALL, with_dpm=True), out_dir=tmp_path)
     assert result.dpm_accuracy is not None
     assert 0.0 <= result.dpm_accuracy <= 1.0
     model = load_model(tmp_path / "model.json")
     assert model.dpm is not None
     assert len(model.dpm.mixtures) == 1
+
+
+@pytest.mark.parametrize("geometry", [{"stride": 8}, {"levels": 2}])
+def test_saved_model_scores_with_its_training_geometry(corpus, tmp_path, geometry):
+    result = run_pipeline(corpus, replace(SMALL, **geometry), out_dir=tmp_path)
+    model = load_model(tmp_path / "model.json")
+    by_id = {im.image_id: im for im in corpus}
+    for sample in result.test_samples:
+        assert score_image(model, by_id[sample.id].image) == sample.score
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"encoder": "foo"}, {"k": 0}, {"patch": 0}, {"stride": 0}, {"levels": 0}, {"epochs": 0},
+     {"vocab_sample": 0}],
+)
+def test_config_rejects_invalid_values(bad):
+    with pytest.raises(DataError):
+        replace(SMALL, **bad)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seatcheck.codebooks import GmmModel, KmeansCodebook
 from seatcheck.dense_descriptors import DescriptorSet
@@ -17,6 +21,8 @@ from seatcheck.store import (
     load_model,
     load_pca,
     load_quantizer,
+    model_from_json,
+    model_to_json,
     save_corpus,
     save_descriptor_sets,
     save_dpm_model,
@@ -178,3 +184,61 @@ def test_encoded_corpus_round_trip_and_csv(tmp_path):
     ]
     with pytest.raises(DataError):
         save_corpus(mixed, None, ["a", "b"], tmp_path / "mixed.bin")
+
+
+def test_version_1_model_file_is_rejected():
+    doc = json.loads(model_to_json(small_model(np.random.default_rng(6))))
+    doc["version"] = 1
+    doc.pop("extract", None)  # version 1 files carry no geometry
+    with pytest.raises(DataError, match="retrain"):
+        model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section", ["classifier", "encoder", "extract", "quantizer"])
+def test_model_file_missing_section_is_data_error(section):
+    doc = json.loads(model_to_json(small_model(np.random.default_rng(7))))
+    del doc[section]
+    with pytest.raises(DataError):
+        model_from_json(json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(8)
+    sets = [
+        DescriptorSet(
+            vectors=rng.normal(size=(t, 5)),
+            x_norm=rng.uniform(size=t),
+            y_norm=rng.uniform(size=t),
+            scale_level=rng.integers(0, 3, size=t),
+            source_id=f"img-{t}",
+        )
+        for t in (3, 0, 4)
+    ]
+    save_descriptor_sets(sets, d / "desc.bin")
+    vectors = [
+        EncodedVector(values=v / np.linalg.norm(v), encoder_kind="fisher", K=2, d=2, normalized=True)
+        for v in rng.normal(size=(3, 4))
+    ]
+    save_corpus(vectors, [1, -1, 1], ["a", "b", "c"], d / "corpus.bin")
+    save_model(small_model(rng, with_dpm=True), d / "model.json")
+    return d
+
+
+LOADERS = {"desc.bin": load_descriptor_sets, "corpus.bin": load_corpus, "model.json": load_model}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), data=st.data())
+def test_truncated_files_raise_only_data_error(valid_files, name, data):
+    blob = (valid_files / name).read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    path = valid_files / f"cut-{name}"
+    path.write_bytes(blob[:cut])
+    try:
+        LOADERS[name](path)
+    except DataError:
+        return
+    # Only the model's trailing newline can go without losing content.
+    assert (name, cut) == ("model.json", len(blob) - 1)
