@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import store
 from .codebooks import gmm_debug_dump, train_gmm, train_kmeans
-from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, save_descriptors_csv
+from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, descriptors_to_csv
 from .encoders import ENCODER_KINDS
 from .errors import DataError, NumericalError, SeatcheckError
 from .eval_metrics import ScoredSample, accuracy, best_threshold, curve_to_csv, is_true_positive
@@ -70,10 +70,8 @@ def cmd_extract(args) -> int:
     sets = [describe(im.image, args, source_id=im.image_id) for im in load_dataset(args.manifest)]
     store.save_descriptor_sets(sets, args.out)
     if args.dump_csv:
-        dump_dir = Path(args.dump_csv)
-        dump_dir.mkdir(parents=True, exist_ok=True)
         for ds in sets:
-            save_descriptors_csv(ds, dump_dir / f"{ds.source_id}.csv")
+            store.atomic_write_text(Path(args.dump_csv) / f"{ds.source_id}.csv", descriptors_to_csv(ds))
     total = sum(len(s) for s in sets)
     print(f"extracted {total} descriptors from {len(sets)} images -> {args.out}")
     return 0

@@ -173,18 +173,14 @@ def assign_nearest(cb: KmeansCodebook, x: np.ndarray) -> int | np.ndarray:
 def _log_densities(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
     """(N, K) matrix of log(w_i) + log N(x | mu_i, diag sigma_i^2)."""
     log_norm = -0.5 * (gmm.d * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
-    if X.shape[0] * gmm.K * gmm.d <= 1 << 22:
-        diff = X[:, None, :] - gmm.means[None, :, :]
-        maha = (diff * diff / gmm.variances[None, :, :]).sum(axis=2)
-    else:
-        # expanded quadratic via matmuls; avoids an (N, K, d) temporary on
-        # codebook-training-sized batches
-        inv = 1.0 / gmm.variances
-        maha = (
-            (X * X) @ inv.T
-            - 2.0 * (X @ (gmm.means * inv).T)
-            + (gmm.means * gmm.means * inv).sum(axis=1)[None, :]
-        )
+    # sum_j (x_j - mu_ij)^2 / var_ij expanded into three matmul terms, one
+    # form for every batch size: no (N, K, d) temporary is ever built
+    inv = 1.0 / gmm.variances
+    maha = (
+        (X * X) @ inv.T
+        - 2.0 * (X @ (gmm.means * inv).T)
+        + (gmm.means * gmm.means * inv).sum(axis=1)[None, :]
+    )
     return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * maha
 
 

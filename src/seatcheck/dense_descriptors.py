@@ -5,13 +5,16 @@ bins, with soft bilinear voting in x, y, and orientation. Cells are laid
 out row-major with the orientation bin index varying fastest. Extraction is
 upright (no dominant-orientation alignment): the inputs are dashboard-level
 crops, so rotation invariance would only blur the signal.
+
+Cell pooling is separable, as in VLFeat's vl_dsift: the bilinear cell
+weights are an outer product of two 1-D tables, so a sliding window in x,
+then one in y, pool the orientation planes without a per-patch copy.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -91,20 +94,10 @@ def _orientation_planes(mag: np.ndarray, ori: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _spatial_kernels(patch: int) -> np.ndarray:
-    """(16, patch*patch) bilinear cell-interpolation weights, cells row-major."""
-    cs = patch / N_CELLS
-    pos = (np.arange(patch) + 0.5) / cs - 0.5
-    c0 = np.floor(pos).astype(np.int64)
-    frac = pos - c0
-    w1d = np.zeros((N_CELLS, patch))
-    for p in range(patch):
-        if 0 <= c0[p] < N_CELLS:
-            w1d[c0[p], p] = 1.0 - frac[p]
-        if 0 <= c0[p] + 1 < N_CELLS:
-            w1d[c0[p] + 1, p] = frac[p]
-    kernels = np.einsum("ia,jb->ijab", w1d, w1d)  # (cy, cx, py, px)
-    return kernels.reshape(N_CELLS * N_CELLS, patch * patch)
+def _cell_weights(patch: int) -> np.ndarray:
+    """(4, patch) bilinear weights of each pixel offset in each cell row/column."""
+    pos = (np.arange(patch) + 0.5) / (patch / N_CELLS) - 0.5  # in cell units
+    return np.maximum(1.0 - np.abs(pos[None, :] - np.arange(N_CELLS)[:, None]), 0.0)
 
 
 def _normalize_descriptors(desc: np.ndarray) -> np.ndarray:
@@ -135,18 +128,16 @@ def extract_dense(
                 f"pyramid level {l} ({lv.width}x{lv.height}) smaller than patch {patch}"
             )
 
-    kernels = _spatial_kernels(patch)
+    w1d = _cell_weights(patch)
     all_vec, all_x, all_y, all_lvl = [], [], [], []
     for l, lv in enumerate(pyr.levels):
         g = compute_gradients(lv)
-        planes = _orientation_planes(g.magnitude, g.orientation)
-        windows = sliding_window_view(planes, (patch, patch), axis=(0, 1))
-        windows = windows[::stride, ::stride]  # (ny, nx, 8, patch, patch)
-        ny, nx = windows.shape[:2]
-        flat = np.ascontiguousarray(windows).reshape(ny * nx * N_ORI_BINS, patch * patch)
-        cell_hist = flat @ kernels.T  # (ny*nx*8, 16)
-        desc = cell_hist.reshape(ny * nx, N_ORI_BINS, N_CELLS * N_CELLS)
-        desc = np.ascontiguousarray(np.swapaxes(desc, 1, 2)).reshape(ny * nx, RAW_DIM)
+        planes = _orientation_planes(g.magnitude, g.orientation)  # (H, W, 8)
+        # pool x, then y: (H, nx, 8, cx), then (ny, nx, 8, cx, cy)
+        rows = sliding_window_view(planes, patch, axis=1)[:, ::stride] @ w1d.T
+        cells = sliding_window_view(rows, patch, axis=0)[::stride] @ w1d.T
+        ny, nx = cells.shape[:2]
+        desc = cells.transpose(0, 1, 4, 3, 2).reshape(ny * nx, RAW_DIM)
         all_vec.append(_normalize_descriptors(desc))
 
         xs = np.arange(nx) * stride + patch / 2.0
@@ -193,7 +184,3 @@ def descriptors_to_csv(ds: DescriptorSet) -> str:
         tail = ",".join(repr(float(v)) for v in ds.vectors[i])
         buf.write(head + "," + tail + "\n")
     return buf.getvalue()
-
-
-def save_descriptors_csv(ds: DescriptorSet, path: str | Path) -> None:
-    Path(path).write_text(descriptors_to_csv(ds))

@@ -10,9 +10,10 @@ Three encoders share the same contract (descriptors in, one vector out):
   residuals, g_i = (1 / (T * sqrt(w_i))) * sum_t alpha_t(i) (x_t - mu_i) / sigma_i,
   concatenated over components, then power- and L2-normalized.
 
-VLAD and FV sums run over descriptors in a canonical (lexicographically
-sorted) order, so encodings are bit-identical under any permutation of the
-input set.
+VLAD and FV sums run over descriptors in a canonical order, so encodings
+are bit-identical under any permutation of the input set: positional
+(scale_level, y_norm, x_norm) order, with a lexicographic fallback on the
+vector components only where two descriptors share a position.
 """
 
 from __future__ import annotations
@@ -110,9 +111,14 @@ def _l2_or_zero(v: np.ndarray) -> np.ndarray:
     return v / norm if norm != 0.0 else np.zeros_like(v)
 
 
-def _canonical_order(vectors: np.ndarray) -> np.ndarray:
-    """Sort descriptor rows lexicographically (column 0 is the primary key)."""
-    return np.lexsort(vectors.T[::-1])
+def _canonical_order(ds: DescriptorSet) -> np.ndarray:
+    """Sort rows by (scale_level, y_norm, x_norm); break position ties by vector."""
+    keys = (ds.x_norm, ds.y_norm, ds.scale_level)  # lexsort: last key is primary
+    order = np.lexsort(keys)
+    pos = np.column_stack(keys)[order]
+    if (pos[1:] == pos[:-1]).all(axis=1).any():
+        order = np.lexsort((*ds.vectors.T[::-1], *keys))
+    return order
 
 
 def _check_nonempty(ds: DescriptorSet, model_d: int) -> None:
@@ -160,7 +166,7 @@ def encode_bow(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) ->
 def encode_vlad(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -> EncodedVector:
     """VLAD: accumulate x_t - mu_i over descriptors nearest to word i."""
     _check_nonempty(ds, cb.d)
-    order = _canonical_order(ds.vectors)
+    order = _canonical_order(ds)
     x = ds.vectors[order]
     words = assign_nearest(cb, x)
     acc = np.zeros((cb.K, cb.d))
@@ -179,7 +185,7 @@ def encode_fv(ds: DescriptorSet, gmm: GmmModel, normalize: bool = True) -> Encod
     the posterior-weighted whitened residual sum.
     """
     _check_nonempty(ds, gmm.d)
-    order = _canonical_order(ds.vectors)
+    order = _canonical_order(ds)
     x = ds.vectors[order]
     t = x.shape[0]
     alpha = posteriors(gmm, x)  # (T, K)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DataError
 from .eval_metrics import Rect
-from .imagecore import GrayImage, load_pgm, save_pgm
+from .imagecore import GrayImage, load_pgm, pgm_bytes
+from .store import atomic_write_bytes, atomic_write_text
 
 LABELS = ("person", "empty")
 
@@ -218,22 +219,21 @@ def split(
 
 
 def save_dataset(images: list[LabeledImage], out_dir: str | Path) -> Path:
-    """Write one PGM per image plus a manifest.csv (path, label, optional box)."""
+    """Atomically write one PGM per image plus a manifest.csv (path, label, box)."""
     out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "label", "x", "y", "w", "h"])
     for im in images:
         rel = f"images/{im.image_id}.pgm"
-        save_pgm(im.image, out_dir / rel)
+        atomic_write_bytes(out_dir / rel, pgm_bytes(im.image))
         if im.gt_face_box is not None:
             b = im.gt_face_box
             writer.writerow([rel, im.label, repr(b.x), repr(b.y), repr(b.w), repr(b.h)])
         else:
             writer.writerow([rel, im.label, "", "", "", ""])
     manifest = out_dir / "manifest.csv"
-    manifest.write_text(buf.getvalue())
+    atomic_write_text(manifest, buf.getvalue())
     return manifest
 
 
@@ -261,7 +261,10 @@ def load_dataset(manifest_path: str | Path) -> list[LabeledImage]:
             except ValueError as e:
                 raise DataError(f"manifest line {lineno}: bad box: {e}") from e
             box = Rect(x=x, y=y, w=w, h=h)
-        img = load_pgm(root / path)
+        try:
+            img = load_pgm(root / path)
+        except OSError as e:
+            raise DataError(f"manifest line {lineno}: cannot read image {path!r}: {e}") from e
         out.append(
             LabeledImage(image=img, label=label, gt_face_box=box, image_id=Path(path).stem)
         )

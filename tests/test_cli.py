@@ -69,6 +69,16 @@ def test_extract_uses_the_pipeline_describe_step(dataset_dir, tmp_path):
         assert np.array_equal(a.scale_level, b.scale_level)
 
 
+def test_extract_dump_csv_writes_one_file_per_image(dataset_dir, tmp_path):
+    dump = tmp_path / "dump"
+    manifest = dataset_dir / "manifest.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "d.bin"),
+                 "--dump-csv", str(dump)]) == 0
+    sets = store.load_descriptor_sets(tmp_path / "d.bin")
+    assert sorted(p.name for p in dump.iterdir()) == sorted(f"{ds.source_id}.csv" for ds in sets)
+    assert len((dump / f"{sets[0].source_id}.csv").read_text().splitlines()) == len(sets[0])
+
+
 def test_bow_workflow_with_codebook(dataset_dir, tmp_path):
     manifest = str(dataset_dir / "manifest.csv")
     desc = str(tmp_path / "desc.bin")
@@ -130,6 +140,16 @@ def test_data_error_exits_2(tmp_path, capsys):
     rc = main(["extract", "--manifest", missing, "--out", str(tmp_path / "d.bin")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_manifest_naming_a_missing_image_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,x,y,w,h\nimages/nope.pgm,empty,,,,\n")
+    rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "d.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "images/nope.pgm" in err
+    assert "Traceback" not in err
 
 
 def test_truncated_corpus_exits_2(dataset_dir, tmp_path, capsys):

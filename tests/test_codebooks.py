@@ -15,7 +15,11 @@ from seatcheck.codebooks import (
     train_gmm,
     train_kmeans,
 )
+from seatcheck.dense_descriptors import extract_dense
 from seatcheck.errors import DataError
+from seatcheck.imagecore import build_pyramid
+from seatcheck.pca_reduce import fit_pca, project
+from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
 
 def best_two_partition_sse(points):
@@ -47,6 +51,25 @@ def naive_mean_loglik(weights, means, variances, data):
             p += w * q
         total += math.log(p)
     return total / len(data)
+
+
+def naive_log_densities(gmm, x):
+    """Direct (N, K, d) difference form of log w_i + log N(x | mu_i, diag sigma_i^2)."""
+    log_norm = -0.5 * (gmm.d * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
+    diff = x[:, None, :] - gmm.means[None, :, :]
+    maha = (diff * diff / gmm.variances[None, :, :]).sum(axis=2)
+    return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * maha
+
+
+@pytest.fixture(scope="module")
+def pca64_image_batch():
+    """A K=32 GMM on PCA-64 dense descriptors, plus one held-out image's descriptors."""
+    images = generate_synthetic(SyntheticSpec(count=12, seed=17))
+    vectors = [extract_dense(build_pyramid(im.image)).vectors for im in images]
+    pool = np.concatenate(vectors[1:])
+    pca = fit_pca(pool, 64)
+    gmm = train_gmm(project(pca, pool), K=32, seed=0, max_iter=15)
+    return gmm, project(pca, vectors[0])
 
 
 def test_kmeans_two_cluster_line_matches_enumeration():
@@ -233,3 +256,14 @@ def test_gmm_debug_dump_lists_components():
     text = gmm_debug_dump(gmm)
     assert "component 0" in text and "component 1" in text
     assert "0.25" in text and "2.0" in text
+
+
+def test_log_densities_match_naive_difference_oracle(pca64_image_batch):
+    gmm, x = pca64_image_batch
+    assert x.shape == (794, 64)
+    logd = naive_log_densities(gmm, x)
+    m = logd.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logd - m).sum(axis=1))
+    alpha = posteriors(gmm, x)
+    assert np.abs(alpha - np.exp(logd - lse[:, None])).max() <= 1e-12
+    assert mean_log_likelihood(gmm, x) == pytest.approx(lse.mean(), rel=1e-12)

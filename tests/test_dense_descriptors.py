@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from seatcheck.dense_descriptors import (
+    _normalize_descriptors,
+    _orientation_planes,
     descriptor_count,
     descriptors_to_csv,
     extract_dense,
 )
 from seatcheck.errors import DataError
 from seatcheck.imagecore import GrayImage, ScalePyramid, build_pyramid, compute_gradients
+from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -55,6 +59,45 @@ def sift_oracle(pixels, patch=24, stride=4):
             d = d / n if n > 1e-10 else np.zeros(128)
             out.append(d)
     return np.array(out)
+
+
+def windowed_oracle(pyr, patch, stride):
+    """Non-separable pooling: each (8, patch, patch) window times a
+    (16, patch*patch) outer-product cell kernel, one window row at a time."""
+    cs = patch / 4.0
+    pos = (np.arange(patch) + 0.5) / cs - 0.5
+    c0 = np.floor(pos).astype(np.int64)
+    frac = pos - c0
+    w1d = np.zeros((4, patch))
+    for p in range(patch):
+        if 0 <= c0[p] < 4:
+            w1d[c0[p], p] = 1.0 - frac[p]
+        if 0 <= c0[p] + 1 < 4:
+            w1d[c0[p] + 1, p] = frac[p]
+    kernels = np.einsum("ia,jb->ijab", w1d, w1d).reshape(16, patch * patch)
+    out = []
+    for lv in pyr.levels:
+        g = compute_gradients(lv)
+        planes = _orientation_planes(g.magnitude, g.orientation)
+        windows = sliding_window_view(planes, (patch, patch), axis=(0, 1))[::stride, ::stride]
+        for row in windows:  # (nx, 8, patch, patch)
+            nx = row.shape[0]
+            cell_hist = np.ascontiguousarray(row).reshape(nx * 8, patch * patch) @ kernels.T
+            desc = np.swapaxes(cell_hist.reshape(nx, 8, 16), 1, 2).reshape(nx, 128)
+            out.append(_normalize_descriptors(desc))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("patch", [24, 26])
+@pytest.mark.parametrize("stride", [1, 4, 8])
+def test_separable_pooling_matches_windowed_oracle(patch, stride):
+    images = generate_synthetic(SyntheticSpec(count=3, width=72, height=64, seed=13))
+    for im in images:
+        pyr = build_pyramid(im.image, levels=3)
+        ds = extract_dense(pyr, patch=patch, stride=stride)
+        expected = windowed_oracle(pyr, patch, stride)
+        assert ds.vectors.shape == expected.shape
+        assert np.abs(ds.vectors - expected).max() <= 1e-12
 
 
 def test_single_patch_image_centers_at_half():

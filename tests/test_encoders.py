@@ -7,6 +7,7 @@ from seatcheck.codebooks import GmmModel, KmeansCodebook
 from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.encoders import (
     EncodedVector,
+    _canonical_order,
     encode_bow,
     encode_fv,
     encode_vlad,
@@ -263,6 +264,59 @@ def test_permutation_invariance_exact():
     assert np.array_equal(encode_fv(ds, gmm).values, encode_fv(ds_p, gmm).values)
     assert np.array_equal(encode_vlad(ds, cb).values, encode_vlad(ds_p, cb).values)
     assert np.array_equal(encode_bow(ds, cb).values, encode_bow(ds_p, cb).values)
+
+
+def grid_positions(levels=3, nx=12, ny=9):
+    """(x_norm, y_norm, scale_level) of a dense multi-level sampling grid."""
+    x, y, lvl = [], [], []
+    for level in range(levels):
+        gx, gy = np.meshgrid((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny)
+        x.append(gx.ravel())
+        y.append(gy.ravel())
+        lvl.append(np.full(nx * ny, level))
+        nx, ny = nx - 3, ny - 2
+    return np.concatenate(x), np.concatenate(y), np.concatenate(lvl)
+
+
+def permuted_encodings_match(x, y, lvl, rng):
+    gmm = random_gmm(rng, K=8, d=16)
+    cb = KmeansCodebook(centroids=rng.normal(size=(8, 16)))
+    t = len(x)
+    vecs = rng.normal(size=(t, 16))
+    perm = rng.permutation(t)
+    ds = DescriptorSet(vectors=vecs, x_norm=x, y_norm=y, scale_level=lvl)
+    ds_p = DescriptorSet(vectors=vecs[perm], x_norm=x[perm], y_norm=y[perm], scale_level=lvl[perm])
+    for encode, q in ((encode_fv, gmm), (encode_vlad, cb)):
+        for normalize in (False, True):
+            a = encode(ds, q, normalize=normalize).values
+            b = encode(ds_p, q, normalize=normalize).values
+            assert np.array_equal(a, b), (encode.__name__, normalize)
+
+
+def test_canonical_order_unique_positions_is_positional():
+    rng = np.random.default_rng(21)
+    x, y, lvl = grid_positions()
+    assert len(set(zip(x, y, lvl))) == len(x)
+    perm = rng.permutation(len(x))
+    ds_p = DescriptorSet(
+        vectors=rng.normal(size=(len(x), 4)), x_norm=x[perm], y_norm=y[perm], scale_level=lvl[perm]
+    )
+    # grid_positions emits (level, y, x) order, as dense extraction does
+    assert np.array_equal(perm[_canonical_order(ds_p)], np.arange(len(x)))
+    permuted_encodings_match(x, y, lvl, rng)
+
+
+def test_canonical_order_colliding_positions_falls_back_to_vectors():
+    rng = np.random.default_rng(22)
+    x, y, lvl = grid_positions()
+    pick = rng.integers(0, 6, size=300)  # 300 descriptors on 6 positions
+    x, y, lvl = x[pick], y[pick], lvl[pick]
+    vecs = rng.normal(size=(300, 4))
+    ds = DescriptorSet(vectors=vecs, x_norm=x, y_norm=y, scale_level=lvl)
+    order = _canonical_order(ds)
+    keys = np.column_stack([lvl, y, x, vecs])[order]
+    assert all(tuple(a) < tuple(b) for a, b in zip(keys[:-1], keys[1:]))
+    permuted_encodings_match(x, y, lvl, rng)
 
 
 def test_fisher_kernel_basic_and_oracle():

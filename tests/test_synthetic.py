@@ -113,6 +113,23 @@ def test_dataset_round_trip(tmp_path):
             assert b.gt_face_box == a.gt_face_box
 
 
+def test_save_dataset_is_atomic_and_round_trips_exactly(tmp_path):
+    images = generate_synthetic(SyntheticSpec(count=4, positive_fraction=0.5, seed=9))
+    manifest = save_dataset(images, tmp_path / "a")
+    written = sorted(p.relative_to(tmp_path / "a").as_posix() for p in (tmp_path / "a").rglob("*"))
+    assert written == sorted(
+        ["images", "manifest.csv"] + [f"images/{im.image_id}.pgm" for im in images]
+    )  # no temporary files left behind
+    back = load_dataset(manifest)
+    for a, b in zip(images, back):
+        assert np.array_equal(b.image.pixels, np.floor(a.image.pixels * 255.0 + 0.5) / 255.0)
+        assert (b.label, b.gt_face_box, b.image_id) == (a.label, a.gt_face_box, a.image_id)
+    save_dataset(back, tmp_path / "b")
+    for rel in written:
+        if rel != "images":
+            assert (tmp_path / "b" / rel).read_bytes() == (tmp_path / "a" / rel).read_bytes(), rel
+
+
 def test_load_dataset_rejects_malformed(tmp_path):
     bad = tmp_path / "manifest.csv"
     bad.write_text("nope\n")
