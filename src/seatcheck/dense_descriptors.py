@@ -6,9 +6,12 @@ out row-major with the orientation bin index varying fastest. Extraction is
 upright (no dominant-orientation alignment): the inputs are dashboard-level
 crops, so rotation invariance would only blur the signal.
 
-Cell pooling is separable, as in VLFeat's vl_dsift: the bilinear cell
-weights are an outer product of two 1-D tables, so a sliding window in x,
-then one in y, pool the orientation planes without a per-patch copy.
+The gradient-histogram kernel (orientation planes over 2*pi, triangular
+cell weights, L2 -> clip at 0.2 -> L2) is imagecore's, shared with the HoG
+of dpm_face. Cell pooling is separable, as in VLFeat's vl_dsift: the
+bilinear cell weights are an outer product of two 1-D tables, so a sliding
+window in x, then one in y, pool the orientation planes without a
+per-patch copy.
 """
 
 from __future__ import annotations
@@ -20,18 +23,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, ScalePyramid, compute_gradients, level_size
+from .imagecore import (
+    DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, ScalePyramid, _cell_weights, _normalize_descriptors, _orientation_planes,
+    compute_gradients, level_size,
+)
 
 N_CELLS = 4
 N_ORI_BINS = 8
 RAW_DIM = N_CELLS * N_CELLS * N_ORI_BINS
-
-# Descriptors whose gradient energy falls below this L2 norm are mapped to
-# the zero vector instead of being normalized (flat empty-seat regions must
-# encode, not crash).
-NORM_FLOOR = 1e-10
-
-CLIP_THRESHOLD = 0.2
 
 # Default sampling grid: 24x24 patches every 4 pixels.
 DEFAULT_PATCH = 24
@@ -74,48 +73,6 @@ class DescriptorSet:
         return self.vectors.shape[1]
 
 
-def _orientation_planes(mag: np.ndarray, ori: np.ndarray) -> np.ndarray:
-    """Split gradient energy into (H, W, 8) planes by soft orientation voting.
-
-    Bin centers sit at b * (2*pi/8), so an exactly-horizontal gradient votes
-    entirely into bin 0.
-    """
-    delta = 2.0 * np.pi / N_ORI_BINS
-    o = ori / delta
-    b0 = np.floor(o)
-    frac = o - b0
-    b0 = b0.astype(np.int64) % N_ORI_BINS
-    b1 = (b0 + 1) % N_ORI_BINS
-    h, w = mag.shape
-    planes = np.zeros((h, w, N_ORI_BINS))
-    yy, xx = np.indices((h, w))
-    planes[yy, xx, b0] = mag * (1.0 - frac)
-    planes[yy, xx, b1] += mag * frac
-    return planes
-
-
-def _cell_weights(patch: int) -> np.ndarray:
-    """(4, patch) bilinear weights of each pixel offset in each cell row/column."""
-    pos = (np.arange(patch) + 0.5) / (patch / N_CELLS) - 0.5  # in cell units
-    return np.maximum(1.0 - np.abs(pos[None, :] - np.arange(N_CELLS)[:, None]), 0.0)
-
-
-def _normalize_descriptors(desc: np.ndarray) -> np.ndarray:
-    """L2-normalize, clip components at 0.2, re-L2-normalize.
-
-    Rows with norm under NORM_FLOOR become the zero vector.
-    """
-
-    def safe_unit(d):
-        norms = np.sqrt(np.sum(d * d, axis=1, keepdims=True))
-        live = norms > NORM_FLOOR
-        return np.where(live, d / np.where(live, norms, 1.0), 0.0)
-
-    desc = safe_unit(desc)
-    desc = np.minimum(desc, CLIP_THRESHOLD)
-    return safe_unit(desc)
-
-
 def extract_dense(
     pyr: ScalePyramid, patch: int = DEFAULT_PATCH, stride: int = DEFAULT_STRIDE, source_id: str = ""
 ) -> DescriptorSet:
@@ -128,11 +85,11 @@ def extract_dense(
                 f"pyramid level {l} ({lv.width}x{lv.height}) smaller than patch {patch}"
             )
 
-    w1d = _cell_weights(patch)
+    w1d = _cell_weights(N_CELLS, patch, patch / N_CELLS)
     all_vec, all_x, all_y, all_lvl = [], [], [], []
     for l, lv in enumerate(pyr.levels):
         g = compute_gradients(lv)
-        planes = _orientation_planes(g.magnitude, g.orientation)  # (H, W, 8)
+        planes = _orientation_planes(g.magnitude, g.orientation, N_ORI_BINS, 2.0 * np.pi)  # (H, W, 8)
         # pool x, then y: (H, nx, 8, cx), then (ny, nx, 8, cx, cy)
         rows = sliding_window_view(planes, patch, axis=1)[:, ::stride] @ w1d.T
         cells = sliding_window_view(rows, patch, axis=0)[::stride] @ w1d.T

@@ -1,6 +1,9 @@
 """Part-based face detection baseline: HoG features, tree-structured part
 models, and exact dynamic-programming inference.
 
+HoG is imagecore's gradient-histogram kernel, shared with dense SIFT, over
+unsigned orientations and normalized per 2x2 block of cells.
+
 A model is a mixture of trees over a shared pool of parts. Each part carries
 an appearance template (a linear filter over HoG cells); each tree edge
 carries an anchor offset and quadratic deformation coefficients. The score
@@ -31,12 +34,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 from .eval_metrics import Rect
 from .imagecore import (
-    DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, GrayImage, build_pyramid, compute_gradients, resize_bilinear,
+    DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, GrayImage, _cell_weights, _normalize_descriptors, _orientation_planes,
+    build_pyramid, compute_gradients, resize_bilinear,
 )
 
 DEFAULT_CELL_SIZE = 8
 DEFAULT_BINS = 9
-HOG_CLIP = 0.2
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,10 @@ class Detection:
 
 
 def compute_hog(img: GrayImage, cell_size: int = DEFAULT_CELL_SIZE, bins: int = DEFAULT_BINS) -> HogFeatureMap:
-    """Unsigned-orientation cell histograms with bilinear voting, then 2x2-block
-    L2 normalization (clip at 0.2, renormalize) averaged back per cell."""
+    """imagecore's gradient-histogram kernel: ``bins`` orientation planes over
+    [0, pi), pooled into ``cell_size`` cells by one matmul per axis, each 2x2
+    block of cells normalized as one row of 4*bins (L2, clip at 0.2, L2; zero
+    at norm <= NORM_FLOOR), then each cell averaged over its blocks."""
     cells_y = img.height // cell_size
     cells_x = img.width // cell_size
     if cells_y < 3 or cells_x < 3:
@@ -197,44 +202,17 @@ def compute_hog(img: GrayImage, cell_size: int = DEFAULT_CELL_SIZE, bins: int = 
             f"image {img.width}x{img.height} yields {cells_x}x{cells_y} cells; need >= 3x3"
         )
     g = compute_gradients(img)
-    mag = g.magnitude.ravel()
-    ori = np.mod(g.orientation, np.pi).ravel()
+    planes = _orientation_planes(g.magnitude, g.orientation, bins, np.pi)  # (H, W, bins)
+    wy = _cell_weights(cells_y, img.height, cell_size)
+    wx = _cell_weights(cells_x, img.width, cell_size)
+    # pool y, then x: (cells_y, W, bins), then (cells_y, cells_x, bins)
+    hist = wx @ (wy @ planes.reshape(img.height, -1)).reshape(cells_y, img.width, bins)
 
-    delta = np.pi / bins
-    o = ori / delta
-    b0 = np.floor(o)
-    fb = o - b0
-    b0 = b0.astype(np.int64) % bins
-    b1 = (b0 + 1) % bins
-
-    h, w = img.pixels.shape
-    ys, xs = np.indices((h, w))
-    cy = (ys.ravel() + 0.5) / cell_size - 0.5
-    cx = (xs.ravel() + 0.5) / cell_size - 0.5
-    cy0 = np.floor(cy).astype(np.int64)
-    cx0 = np.floor(cx).astype(np.int64)
-    fy = cy - cy0
-    fx = cx - cx0
-
-    hist = np.zeros((cells_y, cells_x, bins))
-    for ciy, wy in ((cy0, 1.0 - fy), (cy0 + 1, fy)):
-        for cix, wx in ((cx0, 1.0 - fx), (cx0 + 1, fx)):
-            ok = (ciy >= 0) & (ciy < cells_y) & (cix >= 0) & (cix < cells_x)
-            for bb, wb in ((b0, 1.0 - fb), (b1, fb)):
-                np.add.at(hist, (ciy[ok], cix[ok], bb[ok]), (mag * wy * wx * wb)[ok])
-
-    # 2x2 blocks of cells, L2-Hys style: normalize, clip, renormalize, then
-    # average each cell over the blocks that contain it.
-    blocks = sliding_window_view(hist, (2, 2), axis=(0, 1))  # (cy-1, cx-1, bins, 2, 2)
-    norms = np.sqrt((blocks**2).sum(axis=(2, 3, 4), keepdims=True))
-    normed = np.divide(blocks, norms, out=np.zeros_like(blocks), where=norms > 0)
-    normed = np.minimum(normed, HOG_CLIP)
-    norms2 = np.sqrt((normed**2).sum(axis=(2, 3, 4), keepdims=True))
-    normed = np.divide(normed, norms2, out=np.zeros_like(normed), where=norms2 > 0)
-
+    nby, nbx = cells_y - 1, cells_x - 1
+    blocks = sliding_window_view(hist, (2, 2), axis=(0, 1))  # (nby, nbx, bins, 2, 2)
+    normed = _normalize_descriptors(blocks.reshape(nby * nbx, 4 * bins)).reshape(blocks.shape)
     acc = np.zeros_like(hist)
     cnt = np.zeros((cells_y, cells_x, 1))
-    nby, nbx = cells_y - 1, cells_x - 1
     for dy in (0, 1):
         for dx in (0, 1):
             acc[dy : dy + nby, dx : dx + nbx] += normed[:, :, :, dy, dx]

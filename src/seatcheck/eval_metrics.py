@@ -86,22 +86,27 @@ def is_true_positive(det: Rect, gt: Rect) -> bool:
     return overlap(det, gt) > TRUE_POSITIVE_IOU
 
 
+def _threshold_sweep(samples: Sequence[ScoredSample]):
+    """Sort once; at each distinct score, descending, count the positives and
+    negatives scoring >= it. Returns (thresholds, tp, fp, n_pos, n_neg)."""
+    scores = np.array([s.score for s in samples], dtype=np.float64)
+    positive = np.array([s.label == 1 for s in samples], dtype=bool)
+    order = np.argsort(-scores, kind="stable")
+    scores, positive = scores[order], positive[order]
+    last = np.ones(len(scores), dtype=bool)  # last row of each distinct score
+    last[:-1] = scores[1:] != scores[:-1]
+    n_pos = int(positive.sum())
+    return scores[last], np.cumsum(positive)[last], np.cumsum(~positive)[last], n_pos, len(samples) - n_pos
+
+
 def roc_curve(samples: Sequence[ScoredSample]) -> tuple[EvalCurve, float]:
     """Threshold sweep over distinct scores, descending; predict positive when
     score >= threshold. Returns the (FPR, TPR) curve and its trapezoidal AUC."""
-    labels = np.array([s.label for s in samples])
-    scores = np.array([s.score for s in samples])
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == -1).sum())
+    _, tp, fp, n_pos, n_neg = _threshold_sweep(samples)
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs both labels present")
 
-    points = [(0.0, 0.0)]
-    for threshold in sorted(set(scores.tolist()), reverse=True):
-        pred_pos = scores >= threshold
-        tpr = float((pred_pos & (labels == 1)).sum()) / n_pos
-        fpr = float((pred_pos & (labels == -1)).sum()) / n_neg
-        points.append((fpr, tpr))
+    points = [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
@@ -146,14 +151,11 @@ def best_threshold(samples: Sequence[ScoredSample]) -> tuple[float, float]:
     """
     if not samples:
         raise DataError("best_threshold needs at least one sample")
-    scores = sorted({s.score for s in samples}, reverse=True)
-    candidates = [scores[0] + 1.0] + scores
-    best_t, best_acc = candidates[0], -1.0
-    for t in candidates:
-        acc = sum(1 for s in samples if (1 if s.score >= t else -1) == s.label) / len(samples)
-        if acc > best_acc:
-            best_t, best_acc = t, acc
-    return float(best_t), float(best_acc)
+    thresholds, tp, fp, _, n_neg = _threshold_sweep(samples)
+    candidates = np.append(thresholds[0] + 1.0, thresholds)
+    correct = np.append(n_neg, tp + (n_neg - fp))
+    best = int(np.argmax(correct))  # first maximum: the highest threshold
+    return float(candidates[best]), int(correct[best]) / len(samples)
 
 
 def accuracy_table(runs: Sequence[tuple[str, int, float]]) -> str:

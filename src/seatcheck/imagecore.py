@@ -1,9 +1,14 @@
-"""Grayscale image container, gradients, and multi-scale pyramids.
+"""Grayscale image container, gradients, the gradient-histogram kernel, and
+multi-scale pyramids.
 
 Pixels live in [0, 1] as float64 regardless of on-disk bit depth, so all
 downstream math is independent of storage format. Binary PGM (P5, 8-bit)
 is the canonical bit-exact interchange format; PNG loading is optional
 and requires Pillow.
+
+Dense SIFT and HoG share one kernel (Lowe 2004; Dalal & Triggs 2005): soft
+orientation planes (_orientation_planes), pooled into cells by triangular
+weights (_cell_weights), then L2 -> clip at 0.2 -> L2 (_normalize_descriptors).
 """
 
 from __future__ import annotations
@@ -23,6 +28,13 @@ MIN_LEVEL_SIDE = 24
 # Default scale pyramid: three levels, each 1/sqrt(2) the side of the last.
 DEFAULT_LEVELS = 3
 DEFAULT_SCALE_FACTOR = 1.0 / math.sqrt(2.0)
+
+# Histograms whose gradient energy falls below this L2 norm are mapped to
+# the zero vector instead of being normalized (flat empty-seat regions must
+# encode, not crash).
+NORM_FLOOR = 1e-10
+
+CLIP_THRESHOLD = 0.2
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -124,6 +136,49 @@ def compute_gradients(img: GrayImage) -> GradientField:
     return GradientField(magnitude=mag, orientation=ori)
 
 
+def _orientation_planes(mag: np.ndarray, ori: np.ndarray, bins: int, period: float) -> np.ndarray:
+    """Split gradient energy into (H, W, bins) planes by soft orientation voting.
+
+    Orientations are taken modulo ``period`` (2*pi signed, pi unsigned); bin
+    centers sit at b * period/bins, so an exactly-horizontal gradient votes
+    entirely into bin 0.
+    """
+    o = np.mod(ori, period) / (period / bins)
+    b0 = np.floor(o)
+    frac = o - b0
+    b0 = b0.astype(np.int64) % bins
+    b1 = (b0 + 1) % bins
+    planes = np.zeros(mag.shape + (bins,))
+    yy, xx = np.indices(mag.shape)
+    planes[yy, xx, b0] = mag * (1.0 - frac)
+    planes[yy, xx, b1] += mag * frac
+    return planes
+
+
+def _cell_weights(n_cells: int, n_px: int, cell_width: float) -> np.ndarray:
+    """(n_cells, n_px) triangular weights of each pixel in each cell row/column.
+
+    Pixel p sits at (p + 0.5) / cell_width - 0.5 in cell units and votes
+    into the two nearest cell centers; votes outside [0, n_cells) are dropped.
+    """
+    pos = (np.arange(n_px) + 0.5) / cell_width - 0.5
+    return np.maximum(1.0 - np.abs(pos[None, :] - np.arange(n_cells)[:, None]), 0.0)
+
+
+def _normalize_descriptors(desc: np.ndarray) -> np.ndarray:
+    """L2-normalize each row, clip components at CLIP_THRESHOLD, re-L2-normalize.
+
+    Rows whose norm is at most NORM_FLOOR become the zero vector.
+    """
+
+    def safe_unit(d):
+        norms = np.sqrt(np.sum(d * d, axis=1, keepdims=True))
+        live = norms > NORM_FLOOR
+        return np.where(live, d / np.where(live, norms, 1.0), 0.0)
+
+    return safe_unit(np.minimum(safe_unit(desc), CLIP_THRESHOLD))
+
+
 def level_size(side: int, factor: float, level: int) -> int:
     """Side length of pyramid level ``level``: round(side * factor**level), half-up."""
     return int(math.floor(side * factor**level + 0.5))
@@ -187,7 +242,10 @@ def build_pyramid(
 
 def load_pgm(path: str | Path) -> GrayImage:
     """Read a binary (P5) 8-bit PGM file."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read image: {e}") from e
     return parse_pgm(data)
 
 

@@ -44,7 +44,7 @@ from .eval_metrics import (
 from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, GrayImage, build_pyramid
 from .linear_classifier import LinearModel, score, train_svm
 from .pca_reduce import PcaModel, fit_pca, project, project_set
-from .store import PipelineModel, atomic_write_text, load_pca, load_quantizer, save_model
+from .store import PipelineModel, atomic_write_text, save_model
 from .synthetic import LabeledImage, split
 
 DEFAULT_YIELD_GRID = tuple(q / 20.0 for q in range(1, 21))
@@ -74,9 +74,6 @@ class PipelineConfig:
     with_dpm: bool = False
     dpm_seed: int = 5
     yield_grid: tuple[float, ...] = DEFAULT_YIELD_GRID
-    # optional pretrained components, reused instead of fitting
-    pca_path: str | None = None
-    vocab_path: str | None = None
 
     def __post_init__(self):
         if self.encoder not in ENCODER_KINDS:
@@ -193,19 +190,14 @@ def _extract_all(images, config, pca=None) -> list[DescriptorSet]:
 
 @_stage("pca")
 def _fit_project_pca(train_sets, config):
-    if config.pca_path is not None:
-        pca = load_pca(config.pca_path)
-    elif config.pca_dim is not None:
-        pca = fit_pca(pool_descriptors(train_sets), config.pca_dim)
-    else:
+    if config.pca_dim is None:
         return None, train_sets
+    pca = fit_pca(pool_descriptors(train_sets), config.pca_dim)
     return pca, [project_set(pca, d) for d in train_sets]
 
 
 @_stage("vocab")
 def _train_vocab(train_sets, config):
-    if config.vocab_path is not None:
-        return load_quantizer(config.vocab_path)
     pool = pool_descriptors(train_sets, config.vocab_sample, config.sample_seed)
     if config.encoder == "fisher":
         return train_gmm(

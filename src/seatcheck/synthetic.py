@@ -263,8 +263,8 @@ def load_dataset(manifest_path: str | Path) -> list[LabeledImage]:
             box = Rect(x=x, y=y, w=w, h=h)
         try:
             img = load_pgm(root / path)
-        except OSError as e:
-            raise DataError(f"manifest line {lineno}: cannot read image {path!r}: {e}") from e
+        except DataError as e:
+            raise DataError(f"manifest line {lineno}: image {path!r}: {e}") from e
         out.append(
             LabeledImage(image=img, label=label, gt_face_box=box, image_id=Path(path).stem)
         )

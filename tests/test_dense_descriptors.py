@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from seatcheck.dense_descriptors import (
-    _normalize_descriptors,
-    _orientation_planes,
-    descriptor_count,
-    descriptors_to_csv,
-    extract_dense,
-)
+from seatcheck.dense_descriptors import descriptor_count, descriptors_to_csv, extract_dense
 from seatcheck.errors import DataError
-from seatcheck.imagecore import GrayImage, ScalePyramid, build_pyramid, compute_gradients
+from seatcheck.imagecore import (
+    GrayImage, ScalePyramid, _normalize_descriptors, _orientation_planes, build_pyramid, compute_gradients,
+)
 from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -78,7 +74,7 @@ def windowed_oracle(pyr, patch, stride):
     out = []
     for lv in pyr.levels:
         g = compute_gradients(lv)
-        planes = _orientation_planes(g.magnitude, g.orientation)
+        planes = _orientation_planes(g.magnitude, g.orientation, 8, 2.0 * math.pi)
         windows = sliding_window_view(planes, (patch, patch), axis=(0, 1))[::stride, ::stride]
         for row in windows:  # (nx, 8, patch, patch)
             nx = row.shape[0]

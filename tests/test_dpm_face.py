@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from seatcheck.dpm_face import (
     Edge,
@@ -17,7 +18,8 @@ from seatcheck.dpm_face import (
 )
 from seatcheck.errors import DataError
 from seatcheck.eval_metrics import Rect
-from seatcheck.imagecore import GrayImage, compute_gradients
+from seatcheck.imagecore import GrayImage, build_pyramid, compute_gradients
+from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
 
 def hog_oracle(pixels, cell=8, bins=9):
@@ -59,6 +61,55 @@ def hog_oracle(pixels, cell=8, bins=9):
                 for dx in (0, 1):
                     acc[by + dy, bx + dx] += bn[dy, dx]
                     cnt[by + dy, bx + dx] += 1
+    return acc / cnt
+
+
+def scatter_hog_oracle(img, cell_size=8, bins=9):
+    """HoG by scattered votes: eight np.add.at calls over per-pixel cell and
+    bin indices, then two-step block normalization with a zero-norm guard."""
+    cells_y = img.height // cell_size
+    cells_x = img.width // cell_size
+    g = compute_gradients(img)
+    mag = g.magnitude.ravel()
+    ori = np.mod(g.orientation, np.pi).ravel()
+
+    delta = np.pi / bins
+    o = ori / delta
+    b0 = np.floor(o)
+    fb = o - b0
+    b0 = b0.astype(np.int64) % bins
+    b1 = (b0 + 1) % bins
+
+    h, w = img.pixels.shape
+    ys, xs = np.indices((h, w))
+    cy = (ys.ravel() + 0.5) / cell_size - 0.5
+    cx = (xs.ravel() + 0.5) / cell_size - 0.5
+    cy0 = np.floor(cy).astype(np.int64)
+    cx0 = np.floor(cx).astype(np.int64)
+    fy = cy - cy0
+    fx = cx - cx0
+
+    hist = np.zeros((cells_y, cells_x, bins))
+    for ciy, wy in ((cy0, 1.0 - fy), (cy0 + 1, fy)):
+        for cix, wx in ((cx0, 1.0 - fx), (cx0 + 1, fx)):
+            ok = (ciy >= 0) & (ciy < cells_y) & (cix >= 0) & (cix < cells_x)
+            for bb, wb in ((b0, 1.0 - fb), (b1, fb)):
+                np.add.at(hist, (ciy[ok], cix[ok], bb[ok]), (mag * wy * wx * wb)[ok])
+
+    blocks = sliding_window_view(hist, (2, 2), axis=(0, 1))  # (cy-1, cx-1, bins, 2, 2)
+    norms = np.sqrt((blocks**2).sum(axis=(2, 3, 4), keepdims=True))
+    normed = np.divide(blocks, norms, out=np.zeros_like(blocks), where=norms > 0)
+    normed = np.minimum(normed, 0.2)
+    norms2 = np.sqrt((normed**2).sum(axis=(2, 3, 4), keepdims=True))
+    normed = np.divide(normed, norms2, out=np.zeros_like(normed), where=norms2 > 0)
+
+    acc = np.zeros_like(hist)
+    cnt = np.zeros((cells_y, cells_x, 1))
+    nby, nbx = cells_y - 1, cells_x - 1
+    for dy in (0, 1):
+        for dx in (0, 1):
+            acc[dy : dy + nby, dx : dx + nbx] += normed[:, :, :, dy, dx]
+            cnt[dy : dy + nby, dx : dx + nbx] += 1.0
     return acc / cnt
 
 
@@ -139,6 +190,26 @@ def test_hog_matches_naive_revote_oracle():
     p = rng.uniform(size=(64, 64))
     fmap = compute_hog(GrayImage(p))
     np.testing.assert_allclose(fmap.features, hog_oracle(p), atol=1e-8)
+
+
+@pytest.mark.parametrize("cell_size", [3, 8])
+def test_hog_matches_scatter_oracle_on_synthetic_pyramids(cell_size):
+    images = generate_synthetic(SyntheticSpec(count=40, seed=7))
+    levels = [lv for im in images for lv in build_pyramid(im.image, levels=3).levels]
+    assert len(levels) == 120
+    for lv in levels:
+        fmap = compute_hog(lv, cell_size=cell_size)
+        np.testing.assert_allclose(fmap.features, scatter_hog_oracle(lv, cell_size), rtol=0, atol=1e-12)
+
+
+def test_hog_near_flat_image_is_zero():
+    # Pixel steps of ~1e-14 give block norms far under NORM_FLOOR (1e-10):
+    # such blocks become zero, as a flat SIFT descriptor does. The scatter
+    # oracle zeroes only exact-zero norms and scales them to full size.
+    rng = np.random.default_rng(5)
+    img = GrayImage(0.5 + 1e-14 * rng.uniform(size=(40, 48)))
+    assert np.all(compute_hog(img).features == 0.0)
+    assert scatter_hog_oracle(img).max() > 0.1
 
 
 def test_hog_rejects_small_images():

@@ -21,6 +21,46 @@ def sample(i, score, label):
     return ScoredSample(id=f"s{i:03d}", score=score, label=label)
 
 
+def roc_oracle(samples):
+    """One recount per distinct threshold, descending (quadratic)."""
+    labels = np.array([s.label for s in samples])
+    scores = np.array([s.score for s in samples])
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == -1).sum())
+    points = [(0.0, 0.0)]
+    for threshold in sorted(set(scores.tolist()), reverse=True):
+        pred_pos = scores >= threshold
+        tpr = float((pred_pos & (labels == 1)).sum()) / n_pos
+        fpr = float((pred_pos & (labels == -1)).sum()) / n_neg
+        points.append((fpr, tpr))
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return points, auc
+
+
+def best_threshold_oracle(samples):
+    """Recount the accuracy at every candidate; the first strict maximum wins."""
+    scores = sorted({s.score for s in samples}, reverse=True)
+    candidates = [scores[0] + 1.0] + scores
+    best_t, best_acc = candidates[0], -1.0
+    for t in candidates:
+        acc = sum(1 for s in samples if (1 if s.score >= t else -1) == s.label) / len(samples)
+        if acc > best_acc:
+            best_t, best_acc = t, acc
+    return best_t, best_acc
+
+
+def tie_heavy_samples(rng):
+    """Random labels on scores drawn from a few values, so most scores tie."""
+    n = int(rng.integers(2, 60))
+    values = rng.normal(size=int(rng.integers(1, 8)))
+    scores = rng.choice(values, size=n)
+    labels = rng.choice([-1, 1], size=n)
+    labels[:2] = (-1, 1)
+    return [sample(i, float(s), int(l)) for i, (s, l) in enumerate(zip(scores, labels))]
+
+
 def test_overlap_identical_disjoint_exact_third():
     a = Rect(0, 0, 10, 10)
     assert overlap(a, a) == 1.0
@@ -96,6 +136,8 @@ def test_roc_inversion_property():
 def test_roc_requires_both_labels():
     with pytest.raises(DataError):
         roc_curve([sample(0, 1.0, 1), sample(1, 2.0, 1)])
+    with pytest.raises(DataError):
+        roc_curve([])
 
 
 def test_yield_one_equals_plain_accuracy_exactly():
@@ -153,6 +195,19 @@ def test_best_threshold_maximizes_accuracy():
     t, acc = best_threshold(samples)
     assert acc == 1.0
     assert t == 2.0
+
+
+def test_threshold_sweep_matches_recount_oracles_exactly():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        samples = tie_heavy_samples(rng)
+        curve, auc = roc_curve(samples)
+        points, auc_oracle = roc_oracle(samples)
+        assert curve.points == tuple(points)
+        assert auc == auc_oracle
+        assert best_threshold(samples) == best_threshold_oracle(samples)
+        single = samples[:1]
+        assert best_threshold(single) == best_threshold_oracle(single)
 
 
 def test_accuracy_table():

@@ -12,6 +12,7 @@ from seatcheck.imagecore import (
     build_pyramid,
     compute_gradients,
     level_size,
+    load_image,
     load_pgm,
     parse_pgm,
     pgm_bytes,
@@ -160,10 +161,13 @@ def test_png_loading_via_pillow(tmp_path):
     raw = rng.integers(0, 256, size=(12, 9), dtype=np.uint8)
     path = tmp_path / "img.png"
     PIL.fromarray(raw, mode="L").save(path)
-    from seatcheck.imagecore import load_image
-
     img = load_image(path)
     assert np.array_equal(img.pixels, raw.astype(np.float64) / 255.0)
+
+
+def test_load_image_missing_path_raises_data_error(tmp_path):
+    with pytest.raises(DataError, match="nope.pgm"):
+        load_image(tmp_path / "nope.pgm")
 
 
 def test_pgm_parser_handles_comments_and_rejects_garbage():

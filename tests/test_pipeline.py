@@ -3,10 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seatcheck.codebooks import GmmModel
 from seatcheck.errors import DataError, StageError
 from seatcheck.pipeline import PipelineConfig, run_pipeline, score_image
-from seatcheck.store import load_model, save_quantizer
+from seatcheck.store import load_model
 from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
 SMALL = PipelineConfig(
@@ -69,20 +68,11 @@ def test_final_pca_compression(corpus):
     assert result.model.classifier.trained_on.endswith(":pca=10")
 
 
-def test_mismatched_pretrained_vocab_is_stage_tagged(corpus, tmp_path):
-    rng = np.random.default_rng(0)
-    w = rng.uniform(0.5, 1.0, size=4)
-    wrong_gmm = GmmModel(
-        weights=w / w.sum(),
-        means=rng.normal(size=(4, 8)),  # d=8 but PCA emits 16
-        variances=rng.uniform(0.5, 1.0, size=(4, 8)),
-    )
-    vocab_path = tmp_path / "vocab.json"
-    save_quantizer(wrong_gmm, vocab_path)
+def test_failing_stage_is_tagged_and_leaves_no_model(corpus, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(StageError) as err:
-        run_pipeline(corpus, replace(SMALL, vocab_path=str(vocab_path)), out_dir=out)
-    assert err.value.stage == "encode"
+        run_pipeline(corpus, replace(SMALL, pca_dim=200), out_dir=out)  # descriptors are 128-D
+    assert err.value.stage == "pca"
     assert not (out / "model.json").exists()  # failure atomicity
 
 

@@ -138,3 +138,11 @@ def test_load_dataset_rejects_malformed(tmp_path):
     bad.write_text("path,label,x,y,w,h\nimg.pgm,person,1,2\n")
     with pytest.raises(DataError):
         load_dataset(bad)
+
+
+def test_load_dataset_names_the_line_of_a_corrupt_image(tmp_path):
+    images = generate_synthetic(SyntheticSpec(count=4, positive_fraction=0.5, seed=9))
+    manifest = save_dataset(images, tmp_path)
+    (tmp_path / "images" / f"{images[2].image_id}.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
+    with pytest.raises(DataError, match=r"manifest line 4: .*truncated"):
+        load_dataset(manifest)
