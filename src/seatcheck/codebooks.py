@@ -4,7 +4,10 @@ k-means (Lloyd's algorithm with k-means++ seeding) supplies the codebook
 for BoW and VLAD and the initialization for GMM training. The GMM is fit
 by maximum-likelihood EM and is consumed by the Fisher-vector encoder.
 All training is deterministic given the seed: same seed, same data, same
-hyperparameters give bit-identical models.
+hyperparameters give bit-identical models. The inner loops (distances,
+k-means++ seeding, the E-step) work in place, one cache-sized row block at
+a time; each row's arithmetic is the same as in the whole-array form, so
+the results are the same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +25,16 @@ VARIANCE_FLOOR = 1e-8
 # the ML estimates mean anything.
 MIN_SAMPLES_PER_COMPONENT = 10
 
+# Nearest-centroid search uses the naive (N, K, d) difference form up to
+# this many elements, and the expanded matmul form above it.
+NAIVE_LIMIT = 1 << 22
+# Row blocks of the distance and E-step kernels hold about this many float64s
+# (1 MiB, within a core's L2 cache). Splitting rows does not change any
+# row's result, but numpy computes a one-row product as a matrix-vector
+# product, which may round differently, so a block has at least 32 rows.
+BLOCK_ELEMS = 1 << 17
+MIN_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class KmeansCodebook:
@@ -34,6 +47,8 @@ class KmeansCodebook:
         c = np.ascontiguousarray(self.centroids, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] < 1:
             raise DataError("centroids must be a (K, d) array with K >= 1")
+        if not np.isfinite(c).all():
+            raise DataError("centroids must be finite")
         object.__setattr__(self, "centroids", c)
 
     @property
@@ -65,6 +80,8 @@ class GmmModel:
         var = np.ascontiguousarray(self.variances, dtype=np.float64)
         if mu.ndim != 2 or w.shape != (mu.shape[0],) or var.shape != mu.shape:
             raise DataError("inconsistent GMM parameter shapes")
+        if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(var).all()):
+            raise DataError("GMM parameters must be finite")
         if abs(w.sum() - 1.0) > 1e-10:
             raise DataError(f"weights must sum to 1, got {w.sum()!r}")
         if (w < WEIGHT_FLOOR).any():
@@ -84,36 +101,119 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(N, K) squared Euclidean distances.
+def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """Near-equal row ranges [a, b) covering n rows, each of at most
+    max(BLOCK_ELEMS // width, MIN_BLOCK_ROWS) rows."""
+    count = max(1, -(-n // max(BLOCK_ELEMS // width, MIN_BLOCK_ROWS)))
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
-    Small batches use the naive difference form so ties behave exactly like
-    a per-point linear scan (the tie-break contract); large batches use the
-    expanded matmul form to avoid an (N, K, d) temporary.
+
+def _squared_distances(data: np.ndarray, centroids: np.ndarray, data_sq: np.ndarray) -> np.ndarray:
+    """(N, K) squared Euclidean distances in the expanded form
+    |x|^2 - 2 x.c + |c|^2.
+
+    ``data_sq`` is (data * data).sum(axis=1), computed once by the caller.
+    The terms are applied in place to the one (N, K) buffer the matmul
+    returns, so no (N, K, d) or second (N, K) array is built.
     """
-    if data.shape[0] * centroids.shape[0] * data.shape[1] <= 1 << 22:
-        return ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    d2 = (
-        (data * data).sum(axis=1)[:, None]
-        - 2.0 * (data @ centroids.T)
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    d2 = data @ centroids.T
+    d2 *= -2.0
+    d2 += data_sq[:, None]
+    d2 += (centroids * centroids).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _nearest(
+    data: np.ndarray, centroids: np.ndarray, data_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the closest centroid for every row (ties go to the lowest
+    index) and the squared distance to it.
+
+    Batches with N*K*d <= NAIVE_LIMIT use the naive difference form, so ties
+    behave exactly like a per-point linear scan (the tie-break contract).
+    Larger ones use the expanded form, one row block at a time; the choice is
+    made on the whole batch, never per block.
+    """
+    n, K = data.shape[0], centroids.shape[0]
+    if n * K * data.shape[1] <= NAIVE_LIMIT:
+        d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        return labels, d2[np.arange(n), labels]
+    if data_sq is None:
+        data_sq = (data * data).sum(axis=1)
+    labels = np.empty(n, dtype=np.intp)
+    own = np.empty(n)
+    for a, b in _row_blocks(n, K):
+        d2 = _squared_distances(data[a:b], centroids, data_sq[a:b])
+        labels[a:b] = np.argmin(d2, axis=1)
+        own[a:b] = d2[np.arange(b - a), labels[a:b]]
+    return labels, own
+
+
+def _distances_to(data: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of ``data`` to one point, in the naive
+    difference form, one row block at a time in one reused buffer."""
+    n, d = data.shape
+    blocks = _row_blocks(n, d)
+    out = np.empty(n)
+    buf = np.empty((max(b - a for a, b in blocks), d))
+    for a, b in blocks:
+        diff = buf[: b - a]
+        np.subtract(data[a:b], point, out=diff)
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=1, out=out[a:b])
+    return out
+
+
+def _members(data: np.ndarray, labels: np.ndarray, K: int) -> list[np.ndarray]:
+    """The rows of ``data`` labelled 0, 1, ..., K-1, each group in input order.
+
+    One stable sort groups the rows; each group is a contiguous slice of the
+    sorted copy, holding the same rows in the same order as
+    ``data[labels == k]``, so reductions over it give the same bits.
+    """
+    grouped = data[np.argsort(labels, kind="stable")]
+    return np.split(grouped, np.cumsum(np.bincount(labels, minlength=K))[:-1])
 
 
 def _kmeanspp_init(data: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
     centroids = np.empty((K, data.shape[1]))
     centroids[0] = data[rng.integers(n)]
-    d2min = ((data - centroids[0]) ** 2).sum(axis=1)
+    d2min = _distances_to(data, centroids[0])
     for k in range(1, K):
         total = d2min.sum()
         if total <= 0.0:
             raise DataError(f"fewer than K={K} distinct points in k-means input")
         idx = rng.choice(n, p=d2min / total)
         centroids[k] = data[idx]
-        d2min = np.minimum(d2min, ((data - centroids[k]) ** 2).sum(axis=1))
+        np.minimum(d2min, _distances_to(data, centroids[k]), out=d2min)
     return centroids
+
+
+def _reseed_empty(
+    data: np.ndarray, centroids: np.ndarray, labels: np.ndarray, own: np.ndarray
+) -> None:
+    """Move each empty cluster, lowest index first, to the point farthest from
+    its own centroid, at most K times; update ``centroids``, ``labels`` and
+    ``own`` (each point's squared distance to its centroid) in place.
+
+    Only the moved centroid's distances change, and no point had it as its
+    nearest: a point joins it when it is nearer, or as near and of lower
+    index, which is what an argmin over the updated distance matrix gives.
+    """
+    K = centroids.shape[0]
+    for _ in range(K):
+        empty = np.flatnonzero(np.bincount(labels, minlength=K) == 0)
+        if empty.size == 0:
+            return
+        e = empty[0]
+        centroids[e] = data[int(np.argmax(own))]
+        d2e = _distances_to(data, centroids[e])
+        moved = (d2e < own) | ((d2e == own) & (e < labels))
+        labels[moved] = e
+        own[moved] = d2e[moved]
 
 
 def train_kmeans(data: np.ndarray, K: int, seed: int, max_iter: int = 100) -> KmeansCodebook:
@@ -126,32 +226,26 @@ def train_kmeans(data: np.ndarray, K: int, seed: int, max_iter: int = 100) -> Km
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DataError("train_kmeans expects a (samples, d) array")
+    if not np.isfinite(data).all():
+        raise DataError("k-means input contains non-finite values")
     n = data.shape[0]
     if n < K or K < 1:
         raise DataError(f"need at least K={K} samples, got {n}")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(data, K, rng)
+    data_sq = (data * data).sum(axis=1)
     prev_labels = None
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = _squared_distances(data, centroids)
-        labels = np.argmin(d2, axis=1)
-        for _ in range(K):
-            counts = np.bincount(labels, minlength=K)
-            empty = np.flatnonzero(counts == 0)
-            if empty.size == 0:
-                break
-            own = d2[np.arange(n), labels]
-            centroids[empty[0]] = data[int(np.argmax(own))]
-            d2[:, empty[0]] = ((data - centroids[empty[0]]) ** 2).sum(axis=1)
-            labels = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), labels].sum()))
+        labels, own = _nearest(data, centroids, data_sq)
+        _reseed_empty(data, centroids, labels, own)
+        history.append(float(own.sum()))
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
-        for k in range(K):
-            centroids[k] = data[labels == k].mean(axis=0)
+        for k, members in enumerate(_members(data, labels, K)):
+            centroids[k] = members.mean(axis=0)
     return KmeansCodebook(centroids=centroids, sse_history=tuple(history))
 
 
@@ -166,27 +260,43 @@ def assign_nearest(cb: KmeansCodebook, x: np.ndarray) -> int | np.ndarray:
         x = x[None, :]
     if x.shape[1] != cb.d:
         raise DataError(f"expected dimension {cb.d}, got {x.shape[1]}")
-    idx = np.argmin(_squared_distances(x, cb.centroids), axis=1)
+    idx = _nearest(x, cb.centroids)[0]
     return int(idx[0]) if single else idx
 
 
-def _log_densities(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log(w_i) + log N(x | mu_i, diag sigma_i^2)."""
+def _log_densities(gmm: GmmModel, X: np.ndarray, XX: np.ndarray | None = None) -> np.ndarray:
+    """(N, K) matrix of log(w_i) + log N(x | mu_i, diag sigma_i^2).
+
+    ``XX`` is X * X when the caller already holds it.
+    """
     log_norm = -0.5 * (gmm.d * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
     # sum_j (x_j - mu_ij)^2 / var_ij expanded into three matmul terms, one
-    # form for every batch size: no (N, K, d) temporary is ever built
+    # form for every batch size: no (N, K, d) temporary is ever built. The
+    # two products stay separate matmuls; one over [X | XX] rounds differently.
     inv = 1.0 / gmm.variances
-    maha = (
-        (X * X) @ inv.T
-        - 2.0 * (X @ (gmm.means * inv).T)
-        + (gmm.means * gmm.means * inv).sum(axis=1)[None, :]
-    )
-    return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * maha
+    if XX is None:
+        XX = X * X
+    out = XX @ inv.T
+    cross = X @ (gmm.means * inv).T
+    cross *= -2.0
+    out += cross
+    out += (gmm.means * gmm.means * inv).sum(axis=1)
+    out *= -0.5
+    out += np.log(gmm.weights) + log_norm
+    return out
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    shifted = a - m
+    total = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
+    return (m + np.log(total)).squeeze(axis)
+
+
+def _responsibilities(logd: np.ndarray, lse: np.ndarray) -> np.ndarray:
+    """exp(logd - lse[:, None]), computed in logd's own buffer."""
+    logd -= lse[:, None]
+    return np.exp(logd, out=logd)
 
 
 def posteriors(gmm: GmmModel, x: np.ndarray) -> np.ndarray:
@@ -202,7 +312,7 @@ def posteriors(gmm: GmmModel, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != gmm.d:
         raise DataError(f"expected dimension {gmm.d}, got {x.shape[1]}")
     logd = _log_densities(gmm, x)
-    alpha = np.exp(logd - _logsumexp(logd, axis=1)[:, None])
+    alpha = _responsibilities(logd, _logsumexp(logd, axis=1))
     return alpha[0] if single else alpha
 
 
@@ -243,20 +353,30 @@ def train_gmm(
     weights = counts / n
     means = cb.centroids.copy()
     variances = np.empty((K, d))
-    for k in range(K):
-        variances[k] = data[labels == k].var(axis=0)
+    for k, members in enumerate(_members(data, labels, K)):
+        variances[k] = members.var(axis=0)
     weights = np.maximum(weights, WEIGHT_FLOOR)
     weights /= weights.sum()
     variances = np.maximum(variances, VARIANCE_FLOOR)
 
+    XX = data * data
+    blocks = _row_blocks(n, K)
+    lse = np.empty(n)
+    resp = np.empty((n, K))
     history: list[float] = []
     prev_ll = -np.inf
     for _ in range(max_iter):
         if trace is not None:
             trace.append((weights.copy(), means.copy(), variances.copy()))
+        # Divergence is a numerical failure, not the DataError GmmModel raises.
+        if not all(np.isfinite(p).all() for p in (weights, means, variances)):
+            raise NumericalError("non-finite parameters during EM")
         model = GmmModel(weights=weights, means=means, variances=variances)
-        logd = _log_densities(model, data)
-        lse = _logsumexp(logd, axis=1)
+        # E-step one row block at a time: every step of it is row-local
+        for a, b in blocks:
+            logd = _log_densities(model, data[a:b], XX[a:b])
+            lse[a:b] = _logsumexp(logd, axis=1)
+            resp[a:b] = _responsibilities(logd, lse[a:b])
         ll = float(lse.mean())
         if not np.isfinite(ll):
             raise NumericalError("non-finite log-likelihood during EM")
@@ -265,7 +385,6 @@ def train_gmm(
             break
         prev_ll = ll
 
-        resp = np.exp(logd - lse[:, None])  # (N, K)
         nk = resp.sum(axis=0)
         live = nk > 1e-10
         weights = np.maximum(nk / n, WEIGHT_FLOOR)
@@ -274,7 +393,7 @@ def train_gmm(
         new_vars = variances.copy()
         safe_nk = np.where(live, nk, 1.0)
         mu = (resp.T @ data) / safe_nk[:, None]
-        second = (resp.T @ (data * data)) / safe_nk[:, None]
+        second = (resp.T @ XX) / safe_nk[:, None]
         new_means[live] = mu[live]
         new_vars[live] = second[live] - mu[live] ** 2
         means = new_means

@@ -90,6 +90,9 @@ class Edge:
     def __post_init__(self):
         if not (self.a < 0 and self.b < 0):
             raise DataError("deformation coefficients a and b must be negative")
+        values = (self.anchor_x, self.anchor_y, self.a, self.b, self.c, self.d)
+        if not all(math.isfinite(v) for v in values):
+            raise DataError("edge anchor and deformation coefficients must be finite")
 
     def deformation(self, dx: float, dy: float) -> float:
         return self.a * dx * dx + self.b * dy * dy + self.c * dx + self.d * dy
@@ -110,9 +113,12 @@ class PartTree:
         for t in tpls:
             if t.ndim != 3:
                 raise DataError("templates must be (h_cells, w_cells, bins) arrays")
+            if not np.isfinite(t).all():
+                raise DataError("templates must be finite")
         n = len(tpls)
-        if not (0 <= self.root < n):
-            raise DataError("root index out of range")
+        parts = [self.root] + [i for e in self.edges for i in (e.parent, e.child)]
+        if not all(0 <= i < n for i in parts):
+            raise DataError("root or edge part index out of range")
         if len(self.edges) != n - 1:
             raise DataError(f"a tree over {n} parts needs {n - 1} edges")
         children = [e.child for e in self.edges]
@@ -169,6 +175,8 @@ class PartMixtureModel:
             raise DataError("model needs at least one mixture")
         if len(self.biases) != len(self.mixtures):
             raise DataError("one bias per mixture required")
+        if not all(math.isfinite(b) for b in self.biases) or not self.cell_size >= 1:
+            raise DataError("biases must be finite and cell_size at least 1")
         for tree in self.mixtures:
             for t in tree.templates:
                 if t.shape[2] != self.bins:

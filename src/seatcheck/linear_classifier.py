@@ -34,7 +34,7 @@ class LinearModel:
             raise DataError("weights must be a 1-D vector")
         if not (np.isfinite(w).all() and np.isfinite(self.bias)):
             raise DataError("model parameters must be finite")
-        if self.lambda_ <= 0:
+        if not self.lambda_ > 0:
             raise DataError("lambda must be positive")
         object.__setattr__(self, "weights", w)
 

@@ -34,6 +34,8 @@ class PcaModel:
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
         if basis.ndim != 2 or mean.shape != (basis.shape[1],) or ev.shape != (basis.shape[0],):
             raise DataError("inconsistent PCA model shapes")
+        if not (np.isfinite(mean).all() and np.isfinite(basis).all() and np.isfinite(ev).all()):
+            raise DataError("PCA model parameters must be finite")
         gram = basis @ basis.T
         if np.abs(gram - np.eye(basis.shape[0])).max() > ORTHO_TOL:
             raise DataError("PCA basis rows are not orthonormal")

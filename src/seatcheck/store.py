@@ -87,7 +87,9 @@ class PipelineModel:
 
     def __post_init__(self):
         check_quantizer_kind(self.encoder_kind, self.quantizer)
-        if min(self.patch, self.stride, self.levels) < 1 or not 0.0 < self.scale_factor < 1.0:
+        if not all(v >= 1 for v in (self.patch, self.stride, self.levels)) or not (
+            0.0 < self.scale_factor < 1.0
+        ):
             raise DataError("invalid extraction geometry")
         if self.quantizer.K != self.k or self.quantizer.d != self.d:
             raise DataError("quantizer shape does not match declared (k, d)")

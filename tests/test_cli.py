@@ -142,6 +142,28 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_pca_file_exits_2(tmp_path, capsys):
+    # NaN in a saved model component is a data error, not a NaN result later.
+    from seatcheck.dense_descriptors import DescriptorSet
+    from seatcheck.pca_reduce import fit_pca
+
+    rng = np.random.default_rng(0)
+    vectors = rng.normal(size=(40, 4))
+    desc = tmp_path / "d.bin"
+    store.save_descriptor_sets([DescriptorSet(
+        vectors=vectors, x_norm=rng.uniform(size=40), y_norm=rng.uniform(size=40),
+        scale_level=np.zeros(40, dtype=np.int64), source_id="img",
+    )], desc)
+    store.save_pca(fit_pca(vectors, 2), tmp_path / "pca.json")
+    pca = json.loads((tmp_path / "pca.json").read_text())
+    pca["eigenvalues"][1] = float("nan")
+    (tmp_path / "pca.json").write_text(json.dumps(pca))
+    rc = main(["train-codebook", "--descriptors", str(desc), "--pca", str(tmp_path / "pca.json"),
+               "--k", "2", "--out", str(tmp_path / "cb.json")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_manifest_naming_a_missing_image_exits_2(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,label,x,y,w,h\nimages/nope.pgm,empty,,,,\n")

@@ -5,9 +5,15 @@ import mpmath
 import numpy as np
 import pytest
 
+from seatcheck import codebooks
 from seatcheck.codebooks import (
     GmmModel,
     KmeansCodebook,
+    _kmeanspp_init,
+    _log_densities,
+    _nearest,
+    _reseed_empty,
+    _squared_distances,
     assign_nearest,
     gmm_debug_dump,
     mean_log_likelihood,
@@ -16,7 +22,7 @@ from seatcheck.codebooks import (
     train_kmeans,
 )
 from seatcheck.dense_descriptors import extract_dense
-from seatcheck.errors import DataError
+from seatcheck.errors import DataError, NumericalError
 from seatcheck.imagecore import build_pyramid
 from seatcheck.pca_reduce import fit_pca, project
 from seatcheck.synthetic import SyntheticSpec, generate_synthetic
@@ -61,15 +67,147 @@ def naive_log_densities(gmm, x):
     return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * maha
 
 
+# --- Vocabulary training as it was before it worked in place and in row
+# blocks, kept as oracles: the current code must give the same bits.
+
+
+def old_squared_distances(data, centroids):
+    if data.shape[0] * centroids.shape[0] * data.shape[1] <= 1 << 22:
+        return ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = (
+        (data * data).sum(axis=1)[:, None]
+        - 2.0 * (data @ centroids.T)
+        + (centroids * centroids).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def old_kmeanspp_init(data, K, rng):
+    n = data.shape[0]
+    centroids = np.empty((K, data.shape[1]))
+    centroids[0] = data[rng.integers(n)]
+    d2min = ((data - centroids[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        total = d2min.sum()
+        if total <= 0.0:
+            raise DataError(f"fewer than K={K} distinct points in k-means input")
+        idx = rng.choice(n, p=d2min / total)
+        centroids[k] = data[idx]
+        d2min = np.minimum(d2min, ((data - centroids[k]) ** 2).sum(axis=1))
+    return centroids
+
+
+def old_reseed(data, centroids, d2, labels):
+    """The empty-cluster loop over the full distance matrix; returns the new
+    labels and counts of reseeds and of points that joined a reseeded cluster
+    on an exact tie."""
+    n, K = d2.shape
+    reseeds = ties = 0
+    for _ in range(K):
+        counts = np.bincount(labels, minlength=K)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size == 0:
+            break
+        reseeds += 1
+        own = d2[np.arange(n), labels]
+        centroids[empty[0]] = data[int(np.argmax(own))]
+        d2[:, empty[0]] = ((data - centroids[empty[0]]) ** 2).sum(axis=1)
+        ties += int(((d2[:, empty[0]] == own) & (empty[0] < labels)).sum())
+        labels = np.argmin(d2, axis=1)
+    return labels, reseeds, ties
+
+
+def old_lloyd(data, K, seed, max_iter=100):
+    """(centroids, sse_history, reseeds, ties) of the old Lloyd loop."""
+    n = data.shape[0]
+    centroids = old_kmeanspp_init(data, K, np.random.default_rng(seed))
+    prev_labels = None
+    history = []
+    reseeds = ties = 0
+    for _ in range(max_iter):
+        d2 = old_squared_distances(data, centroids)
+        labels, r, t = old_reseed(data, centroids, d2, np.argmin(d2, axis=1))
+        reseeds, ties = reseeds + r, ties + t
+        history.append(float(d2[np.arange(n), labels].sum()))
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+        for k in range(K):
+            centroids[k] = data[labels == k].mean(axis=0)
+    return centroids, tuple(history), reseeds, ties
+
+
+def old_log_densities(gmm, X):
+    log_norm = -0.5 * (gmm.d * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
+    inv = 1.0 / gmm.variances
+    maha = (
+        (X * X) @ inv.T
+        - 2.0 * (X @ (gmm.means * inv).T)
+        + (gmm.means * gmm.means * inv).sum(axis=1)[None, :]
+    )
+    return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * maha
+
+
+def old_logsumexp(a, axis):
+    m = np.max(a, axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def old_em(data, K, seed, max_iter=100, tol=1e-5):
+    """(weights, means, variances, loglik_history) of the old EM loop."""
+    n, d = data.shape
+    centroids = old_lloyd(data, K, seed)[0]
+    labels = np.argmin(old_squared_distances(data, centroids), axis=1)
+    weights = np.bincount(labels, minlength=K).astype(np.float64) / n
+    means = centroids.copy()
+    variances = np.empty((K, d))
+    for k in range(K):
+        variances[k] = data[labels == k].var(axis=0)
+    weights = np.maximum(weights, codebooks.WEIGHT_FLOOR)
+    weights /= weights.sum()
+    variances = np.maximum(variances, codebooks.VARIANCE_FLOOR)
+    history = []
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        logd = old_log_densities(GmmModel(weights=weights, means=means, variances=variances), data)
+        lse = old_logsumexp(logd, axis=1)
+        ll = float(lse.mean())
+        history.append(ll)
+        if ll - prev_ll < tol:
+            break
+        prev_ll = ll
+        resp = np.exp(logd - lse[:, None])
+        nk = resp.sum(axis=0)
+        live = nk > 1e-10
+        weights = np.maximum(nk / n, codebooks.WEIGHT_FLOOR)
+        weights /= weights.sum()
+        new_means = means.copy()
+        new_vars = variances.copy()
+        safe_nk = np.where(live, nk, 1.0)
+        mu = (resp.T @ data) / safe_nk[:, None]
+        second = (resp.T @ (data * data)) / safe_nk[:, None]
+        new_means[live] = mu[live]
+        new_vars[live] = second[live] - mu[live] ** 2
+        means = new_means
+        variances = np.maximum(new_vars, codebooks.VARIANCE_FLOOR)
+    return weights, means, variances, tuple(history)
+
+
 @pytest.fixture(scope="module")
-def pca64_image_batch():
-    """A K=32 GMM on PCA-64 dense descriptors, plus one held-out image's descriptors."""
+def pca64_pool():
+    """PCA-64 dense descriptors of 11 synthetic images, plus a 12th image's."""
     images = generate_synthetic(SyntheticSpec(count=12, seed=17))
     vectors = [extract_dense(build_pyramid(im.image)).vectors for im in images]
     pool = np.concatenate(vectors[1:])
     pca = fit_pca(pool, 64)
-    gmm = train_gmm(project(pca, pool), K=32, seed=0, max_iter=15)
-    return gmm, project(pca, vectors[0])
+    return project(pca, pool), project(pca, vectors[0])
+
+
+@pytest.fixture(scope="module")
+def pca64_image_batch(pca64_pool):
+    """A K=32 GMM on PCA-64 dense descriptors, plus one held-out image's descriptors."""
+    pool, held_out = pca64_pool
+    return train_gmm(pool, K=32, seed=0, max_iter=15), held_out
 
 
 def test_kmeans_two_cluster_line_matches_enumeration():
@@ -267,3 +405,121 @@ def test_log_densities_match_naive_difference_oracle(pca64_image_batch):
     alpha = posteriors(gmm, x)
     assert np.abs(alpha - np.exp(logd - lse[:, None])).max() <= 1e-12
     assert mean_log_likelihood(gmm, x) == pytest.approx(lse.mean(), rel=1e-12)
+
+
+def test_lloyd_matches_old_loop_bit_for_bit(pca64_pool):
+    pool, _ = pca64_pool
+    assert pool.shape[0] * 32 * 64 > codebooks.NAIVE_LIMIT  # expanded form, in row blocks
+    cb = train_kmeans(pool, K=32, seed=3)
+    centroids, history, _, _ = old_lloyd(pool, K=32, seed=3)
+    assert np.array_equal(cb.centroids, centroids)
+    assert cb.sse_history == history
+
+
+def test_em_matches_old_iteration_bit_for_bit(pca64_pool):
+    pool, _ = pca64_pool
+    gmm = train_gmm(pool, K=32, seed=0, max_iter=15)
+    weights, means, variances, history = old_em(pool, K=32, seed=0, max_iter=15)
+    assert np.array_equal(gmm.weights, weights)
+    assert np.array_equal(gmm.means, means)
+    assert np.array_equal(gmm.variances, variances)
+    assert gmm.loglik_history == history
+
+
+def test_distances_match_old_matmul_branch_at_k256(pca64_pool):
+    pool, _ = pca64_pool
+    centroids = _kmeanspp_init(pool, 256, np.random.default_rng(1))
+    assert np.array_equal(centroids, old_kmeanspp_init(pool, 256, np.random.default_rng(1)))
+    old = old_squared_distances(pool, centroids)
+    assert np.array_equal(_squared_distances(pool, centroids, (pool * pool).sum(axis=1)), old)
+    labels, own = _nearest(pool, centroids)
+    assert np.array_equal(labels, np.argmin(old, axis=1))
+    assert np.array_equal(own, old[np.arange(pool.shape[0]), labels])
+    assert np.array_equal(assign_nearest(KmeansCodebook(centroids=centroids), pool), labels)
+
+
+def test_naive_branch_and_its_tie_break_match_old_code():
+    rng = np.random.default_rng(12)
+    data = rng.integers(0, 4, size=(40, 2)).astype(np.float64)
+    centroids = data[[0, 5, 9, 17, 30]]
+    old = old_squared_distances(data, centroids)
+    assert ((old == old.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # ties occur
+    labels, own = _nearest(data, centroids)
+    assert np.array_equal(labels, np.argmin(old, axis=1))
+    assert np.array_equal(own, old.min(axis=1))
+    cb = train_kmeans(data, K=5, seed=4)
+    old_centroids, history, _, _ = old_lloyd(data, K=5, seed=4)
+    assert np.array_equal(cb.centroids, old_centroids)
+    assert cb.sse_history == history
+
+
+def test_reseed_step_matches_full_argmin_with_ties():
+    # Three of the eight centroids are far from every point, so they start
+    # empty; on the integer grid, a point is as near a reseeded centroid as
+    # its own.
+    data = np.array([[x, y] for x in range(6) for y in range(5)], dtype=np.float64)
+    centroids = np.array(
+        [[5.0, 3.0], [3.0, 1.0], [50.0, 50.0], [1.0, 0.0], [-40.0, 0.0],
+         [0.0, 0.0], [1.0, 4.0], [0.0, 60.0]]
+    )
+    old_centroids = centroids.copy()
+    d2 = old_squared_distances(data, old_centroids)
+    old_labels, reseeds, ties = old_reseed(data, old_centroids, d2, np.argmin(d2, axis=1))
+    assert reseeds == 3 and ties > 0
+    labels, own = _nearest(data, centroids)
+    _reseed_empty(data, centroids, labels, own)
+    assert np.array_equal(centroids, old_centroids)
+    assert np.array_equal(labels, old_labels)
+    assert np.array_equal(own, d2[np.arange(data.shape[0]), old_labels])
+
+
+def test_empty_cluster_reseed_matches_old_loop():
+    # Fifteen 64-D locations of norm ~1e4, 300 copies each, and one point 1e-9
+    # away from the first: the k-means++ seeding must take both, and the
+    # expanded form cannot tell them apart, so one of their clusters empties.
+    rng = np.random.default_rng(1)
+    locations = rng.uniform(-1e3, 1e3, size=(15, 64))
+    near = locations[0].copy()
+    near[0] += 1e-9
+    data = np.vstack([np.repeat(locations, 300, axis=0), near])
+    assert data.shape[0] * 16 * 64 > codebooks.NAIVE_LIMIT
+    cb = train_kmeans(data, K=16, seed=1, max_iter=2)
+    centroids, history, reseeds, ties = old_lloyd(data, K=16, seed=1, max_iter=2)
+    assert reseeds > 0 and ties > 0
+    assert np.array_equal(cb.centroids, centroids)
+    assert cb.sse_history == history
+    # In the third sweep every point sits on a centroid, so K reseeds leave a
+    # cluster empty and its mean is NaN: the old loop returned that codebook.
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
+        assert np.isnan(old_lloyd(data, K=16, seed=1, max_iter=3)[0]).any()
+        with pytest.raises(DataError):
+            train_kmeans(data, K=16, seed=1, max_iter=3)
+
+
+def test_log_densities_reuse_squares_bit_for_bit(pca64_image_batch):
+    gmm, x = pca64_image_batch
+    logd = _log_densities(gmm, x)
+    assert np.array_equal(_log_densities(gmm, x, x * x), logd)
+    old = old_log_densities(gmm, x)
+    assert np.array_equal(logd, old)
+    assert np.array_equal(posteriors(gmm, x), np.exp(old - old_logsumexp(old, axis=1)[:, None]))
+    assert mean_log_likelihood(gmm, x) == float(old_logsumexp(old, axis=1).mean())
+
+
+def test_diverging_em_is_a_numerical_error(monkeypatch):
+    # Non-finite parameters must surface as NumericalError (CLI exit 3), not as
+    # the DataError that GmmModel raises for a non-finite model.
+    monkeypatch.setattr(codebooks, "_responsibilities", lambda logd, lse: np.full_like(logd, np.nan))
+    data = np.random.default_rng(13).normal(size=(60, 2))
+    with pytest.raises(NumericalError):
+        train_gmm(data, K=2, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_vocabulary_training_rejects_non_finite_input(bad):
+    data = np.random.default_rng(14).normal(size=(40, 2))
+    data[7, 1] = bad
+    with pytest.raises(DataError):
+        train_kmeans(data, K=2, seed=0)
+    with pytest.raises(DataError):
+        train_gmm(data, K=2, seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,13 +9,18 @@ from hypothesis import strategies as st
 from seatcheck.codebooks import GmmModel, KmeansCodebook
 from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.dpm_face import Edge, PartMixtureModel, PartTree
-from seatcheck.encoders import EncodedVector
+from seatcheck.encoders import EncodedVector, native_length
 from seatcheck.errors import DataError
+from seatcheck.imagecore import load_pgm
 from seatcheck.linear_classifier import LinearModel
 from seatcheck.pca_reduce import fit_pca
 from seatcheck.store import (
+    CORPUS_MAGIC,
+    DESC_MAGIC,
+    MODEL_FORMAT,
     PipelineModel,
     corpus_to_csv,
+    load_classifier,
     load_corpus,
     load_descriptor_sets,
     load_dpm_model,
@@ -242,3 +248,97 @@ def test_truncated_files_raise_only_data_error(valid_files, name, data):
         return
     # Only the model's trailing newline can go without losing content.
     assert (name, cut) == ("model.json", len(blob) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), data=st.data())
+def test_mutated_files_raise_only_data_error(valid_files, name, data):
+    blob = bytearray((valid_files / name).read_bytes())
+    for _ in range(data.draw(st.integers(1, 3), label="bytes changed")):
+        blob[data.draw(st.integers(0, len(blob) - 1), label="at")] = data.draw(st.integers(0, 255))
+    path = valid_files / f"mutated-{name}"
+    path.write_bytes(bytes(blob))
+    try:
+        LOADERS[name](path)  # a change inside a number may still load
+    except DataError:
+        pass
+
+
+ALL_LOADERS = {
+    **LOADERS,
+    "pca.json": load_pca,
+    "quantizer.json": load_quantizer,
+    "classifier.json": load_classifier,
+    "dpm.json": load_dpm_model,
+    "image.pgm": load_pgm,
+}
+PREFIXES = [b"", DESC_MAGIC, CORPUS_MAGIC, b"P5\n", b"{", f'{{"format":"{MODEL_FORMAT}","version":2,'.encode()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ALL_LOADERS)),
+    prefix=st.sampled_from(PREFIXES),
+    tail=st.binary(max_size=64),
+)
+def test_random_bytes_raise_only_data_error(tmp_path_factory, name, prefix, tail):
+    path = tmp_path_factory.mktemp("random") / name
+    path.write_bytes(prefix + tail)
+    with pytest.raises(DataError):
+        ALL_LOADERS[name](path)
+
+
+def _numeric_paths(node, path=()):
+    """Paths to every number in a JSON document, taking the first item of each list."""
+    if isinstance(node, bool) or node is None or isinstance(node, str):
+        return
+    if isinstance(node, (int, float)):
+        yield path
+    elif isinstance(node, dict):
+        for key in sorted(node):
+            yield from _numeric_paths(node[key], path + (key,))
+    elif node:
+        yield from _numeric_paths(node[0], path + (0,))
+
+
+def _models_with_every_section():
+    rng = np.random.default_rng(7)
+    fisher = small_model(rng, with_dpm=True)
+    final = fit_pca(rng.normal(size=(30, fisher.k * fisher.d)), 4)
+    fisher = dataclasses.replace(
+        fisher,
+        final_pca=final,
+        classifier=dataclasses.replace(fisher.classifier, weights=rng.normal(size=4)),
+    )
+    bow = dataclasses.replace(
+        fisher,
+        encoder_kind="bow",
+        quantizer=KmeansCodebook(centroids=rng.normal(size=(fisher.k, fisher.d))),
+        final_pca=None,
+        classifier=dataclasses.replace(
+            fisher.classifier, weights=rng.normal(size=native_length("bow", fisher.k, fisher.d))
+        ),
+    )
+    return {"fisher": fisher, "bow": bow}
+
+
+NAN_CASES = [
+    (kind, path)
+    for kind, model in _models_with_every_section().items()
+    for path in _numeric_paths(json.loads(model_to_json(model)))
+    if kind == "fisher" or path[0] == "quantizer"
+]
+
+
+@pytest.mark.parametrize(
+    "kind,path", NAN_CASES, ids=[f"{k}:{'/'.join(map(str, p))}" for k, p in NAN_CASES]
+)
+def test_nan_anywhere_in_model_file_is_data_error(kind, path):
+    model = _models_with_every_section()[kind]
+    doc = json.loads(model_to_json(model))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float("nan")
+    with pytest.raises(DataError):
+        model_from_json(json.dumps(doc))
