@@ -4,10 +4,19 @@ k-means (Lloyd's algorithm with k-means++ seeding) supplies the codebook
 for BoW and VLAD and the initialization for GMM training. The GMM is fit
 by maximum-likelihood EM and is consumed by the Fisher-vector encoder.
 All training is deterministic given the seed: same seed, same data, same
-hyperparameters give bit-identical models. The inner loops (distances,
-k-means++ seeding, the E-step) work in place, one cache-sized row block at
-a time; each row's arithmetic is the same as in the whole-array form, so
-the results are the same bits.
+hyperparameters give bit-identical models.
+
+k-means works in place, one cache-sized row block at a time, and sums each
+cluster in input order, so its results are the bits of the whole-array
+form. The GMM density has one form, shared by EM, ``posteriors`` and
+``mean_log_likelihood``: log w_i + log N(x | mu_i, sigma_i^2) =
+W_i . [x, x^2] + c_i, one matmul evaluated in a (K, n) layout so that the
+max and the sum over components run along contiguous rows. Each EM
+iteration is one pass over row blocks: E-step into a (K, block) buffer,
+then the block's share of the sufficient statistics, so no (n, K) array is
+held. The tests keep the three-matmul (n, K) form with whole-array
+statistics as an oracle; EM and ``posteriors`` agree with it to 1e-12
+relative, not bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +39,11 @@ MIN_SAMPLES_PER_COMPONENT = 10
 NAIVE_LIMIT = 1 << 22
 # Row blocks of the distance and E-step kernels hold about this many float64s
 # (1 MiB, within a core's L2 cache). Splitting rows does not change any
-# row's result, but numpy computes a one-row product as a matrix-vector
-# product, which may round differently, so a block has at least 32 rows.
+# row's distances, but numpy computes a one-row product as a matrix-vector
+# product, which may round differently, so a block has at least 64 rows.
+# The E-step's (K, rows) product is not split-invariant: the last few
+# columns of a long product go through the BLAS kernel's remainder path and
+# may round differently, so its bits follow the cuts, which depend only on n.
 BLOCK_ELEMS = 1 << 17
 MIN_BLOCK_ROWS = 64
 
@@ -166,15 +178,13 @@ def _distances_to(data: np.ndarray, point: np.ndarray) -> np.ndarray:
     return out
 
 
-def _members(data: np.ndarray, labels: np.ndarray, K: int) -> list[np.ndarray]:
-    """The rows of ``data`` labelled 0, 1, ..., K-1, each group in input order.
+def _cluster_sums(columns: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """(K, d) sums of each cluster's rows, given the data as its d columns.
 
-    One stable sort groups the rows; each group is a contiguous slice of the
-    sorted copy, holding the same rows in the same order as
-    ``data[labels == k]``, so reductions over it give the same bits.
+    A weighted ``bincount`` adds each cluster's values in input order, as
+    ``data[labels == k].sum(axis=0)`` does, so the sums are the same bits.
     """
-    grouped = data[np.argsort(labels, kind="stable")]
-    return np.split(grouped, np.cumsum(np.bincount(labels, minlength=K))[:-1])
+    return np.stack([np.bincount(labels, weights=col, minlength=K) for col in columns], axis=1)
 
 
 def _kmeanspp_init(data: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,10 +204,12 @@ def _kmeanspp_init(data: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
 
 def _reseed_empty(
     data: np.ndarray, centroids: np.ndarray, labels: np.ndarray, own: np.ndarray
-) -> None:
+) -> np.ndarray:
     """Move each empty cluster, lowest index first, to the point farthest from
     its own centroid, at most K times; update ``centroids``, ``labels`` and
-    ``own`` (each point's squared distance to its centroid) in place.
+    ``own`` (each point's squared distance to its centroid) in place, and
+    return the cluster sizes. A cluster still empty after K moves means the
+    data has fewer distinct points than K: a ``DataError``.
 
     Only the moved centroid's distances change, and no point had it as its
     nearest: a point joins it when it is nearer, or as near and of lower
@@ -207,13 +219,17 @@ def _reseed_empty(
     for _ in range(K):
         empty = np.flatnonzero(np.bincount(labels, minlength=K) == 0)
         if empty.size == 0:
-            return
+            break
         e = empty[0]
         centroids[e] = data[int(np.argmax(own))]
         d2e = _distances_to(data, centroids[e])
         moved = (d2e < own) | ((d2e == own) & (e < labels))
         labels[moved] = e
         own[moved] = d2e[moved]
+    counts = np.bincount(labels, minlength=K)
+    if not counts.all():
+        raise DataError(f"k-means input has fewer distinct points than K={K}")
+    return counts
 
 
 def train_kmeans(data: np.ndarray, K: int, seed: int, max_iter: int = 100) -> KmeansCodebook:
@@ -235,17 +251,18 @@ def train_kmeans(data: np.ndarray, K: int, seed: int, max_iter: int = 100) -> Km
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(data, K, rng)
     data_sq = (data * data).sum(axis=1)
+    columns = np.ascontiguousarray(data.T)
     prev_labels = None
     history: list[float] = []
     for _ in range(max_iter):
         labels, own = _nearest(data, centroids, data_sq)
-        _reseed_empty(data, centroids, labels, own)
+        counts = _reseed_empty(data, centroids, labels, own)
         history.append(float(own.sum()))
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
-        for k, members in enumerate(_members(data, labels, K)):
-            centroids[k] = members.mean(axis=0)
+        centroids = _cluster_sums(columns, labels, K)
+        centroids /= counts[:, None]
     return KmeansCodebook(centroids=centroids, sse_history=tuple(history))
 
 
@@ -264,62 +281,71 @@ def assign_nearest(cb: KmeansCodebook, x: np.ndarray) -> int | np.ndarray:
     return int(idx[0]) if single else idx
 
 
-def _log_densities(gmm: GmmModel, X: np.ndarray, XX: np.ndarray | None = None) -> np.ndarray:
-    """(N, K) matrix of log(w_i) + log N(x | mu_i, diag sigma_i^2).
+def _features(x: np.ndarray) -> np.ndarray:
+    """(n, 2d) rows [x, x^2], the inputs of the density form."""
+    return np.hstack([x, x * x])
 
-    ``XX`` is X * X when the caller already holds it.
+
+def _density_form(gmm: GmmModel) -> tuple[np.ndarray, np.ndarray]:
+    """(W, c) with log w_i + log N(x | mu_i, diag sigma_i^2) = W_i . [x, x^2] + c_i.
+
+    W = [mu / sigma^2, -1 / (2 sigma^2)] is (K, 2d) and
+    c = log w - 1/2 (d log 2 pi + sum log sigma^2 + sum mu^2 / sigma^2).
     """
-    log_norm = -0.5 * (gmm.d * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
-    # sum_j (x_j - mu_ij)^2 / var_ij expanded into three matmul terms, one
-    # form for every batch size: no (N, K, d) temporary is ever built. The
-    # two products stay separate matmuls; one over [X | XX] rounds differently.
     inv = 1.0 / gmm.variances
-    if XX is None:
-        XX = X * X
-    out = XX @ inv.T
-    cross = X @ (gmm.means * inv).T
-    cross *= -2.0
-    out += cross
-    out += (gmm.means * gmm.means * inv).sum(axis=1)
-    out *= -0.5
-    out += np.log(gmm.weights) + log_norm
-    return out
+    W = np.hstack([gmm.means * inv, -0.5 * inv])
+    c = np.log(gmm.weights) - 0.5 * (
+        gmm.d * np.log(2.0 * np.pi)
+        + np.log(gmm.variances).sum(axis=1)
+        + (gmm.means * gmm.means * inv).sum(axis=1)
+    )
+    return W, c
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    shifted = a - m
-    total = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
-    return (m + np.log(total)).squeeze(axis)
+def _e_step(W: np.ndarray, c: np.ndarray, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Responsibilities of the rows of ``Z`` (from ``_features``), written
+    (K, rows) into ``out``; returns each row's log-likelihood.
+
+    Components run along the first axis, so the max and the sum over them
+    are elementwise passes over contiguous rows, and ``exp`` runs once per
+    element.
+    """
+    np.matmul(W, Z.T, out=out)
+    out += c[:, None]
+    m = out.max(axis=0)
+    out -= m
+    np.exp(out, out=out)
+    total = out.sum(axis=0)
+    out /= total
+    return m + np.log(total)
 
 
-def _responsibilities(logd: np.ndarray, lse: np.ndarray) -> np.ndarray:
-    """exp(logd - lse[:, None]), computed in logd's own buffer."""
-    logd -= lse[:, None]
-    return np.exp(logd, out=logd)
+def _evaluate(gmm: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, n) responsibilities and the n log-likelihoods of the rows of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != gmm.d:
+        raise DataError(f"expected dimension {gmm.d}, got {x.shape[-1]}")
+    W, c = _density_form(gmm)
+    resp = np.empty((gmm.K, x.shape[0]))
+    return resp, _e_step(W, c, _features(x), resp)
 
 
 def posteriors(gmm: GmmModel, x: np.ndarray) -> np.ndarray:
     """Soft assignments alpha_i(x) = w_i p_i(x) / sum_j w_j p_j(x).
 
     Computed in log space, so distant points still get a well-defined
-    (rather than 0/0) posterior. Accepts a d-vector or an (n, d) batch.
+    (rather than 0/0) posterior. Accepts a d-vector or an (n, d) batch and
+    returns a K-vector or an (n, K) array.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != gmm.d:
-        raise DataError(f"expected dimension {gmm.d}, got {x.shape[1]}")
-    logd = _log_densities(gmm, x)
-    alpha = _responsibilities(logd, _logsumexp(logd, axis=1))
-    return alpha[0] if single else alpha
+    resp = _evaluate(gmm, x[None, :] if single else x)[0]
+    return resp[:, 0] if single else resp.T
 
 
 def mean_log_likelihood(gmm: GmmModel, data: np.ndarray) -> float:
     """Mean over samples of log p(x | theta)."""
-    data = np.asarray(data, dtype=np.float64)
-    return float(_logsumexp(_log_densities(gmm, data), axis=1).mean())
+    return float(_evaluate(gmm, data)[1].mean())
 
 
 def train_gmm(
@@ -349,20 +375,24 @@ def train_gmm(
 
     cb = train_kmeans(data, K, seed=seed)
     labels = assign_nearest(cb, data)
-    counts = np.bincount(labels, minlength=K).astype(np.float64)
+    counts = np.bincount(labels, minlength=K)
     weights = counts / n
     means = cb.centroids.copy()
-    variances = np.empty((K, d))
-    for k, members in enumerate(_members(data, labels, K)):
-        variances[k] = members.var(axis=0)
+    # Within-cluster variances as .var(axis=0) computes them: deviations from
+    # the members' own mean, squared, summed in input order.
+    columns = np.ascontiguousarray(data.T)
+    dev = columns - (_cluster_sums(columns, labels, K) / counts[:, None]).T[:, labels]
+    dev *= dev
+    variances = _cluster_sums(dev, labels, K) / counts[:, None]
+    del columns, dev
     weights = np.maximum(weights, WEIGHT_FLOOR)
     weights /= weights.sum()
     variances = np.maximum(variances, VARIANCE_FLOOR)
 
-    XX = data * data
-    blocks = _row_blocks(n, K)
+    Z = _features(data)
+    blocks = _row_blocks(n, max(K, 2 * d))
+    resp = np.empty((K, max(b - a for a, b in blocks)))
     lse = np.empty(n)
-    resp = np.empty((n, K))
     history: list[float] = []
     prev_ll = -np.inf
     for _ in range(max_iter):
@@ -371,12 +401,16 @@ def train_gmm(
         # Divergence is a numerical failure, not the DataError GmmModel raises.
         if not all(np.isfinite(p).all() for p in (weights, means, variances)):
             raise NumericalError("non-finite parameters during EM")
-        model = GmmModel(weights=weights, means=means, variances=variances)
-        # E-step one row block at a time: every step of it is row-local
+        W, c = _density_form(GmmModel(weights=weights, means=means, variances=variances))
+        # One pass over the row blocks: E-step, then the sufficient statistics
+        # S = sum_t r_t [x_t, x_t^2] and nk = sum_t r_t; no (n, K) array is held.
+        S = np.zeros((K, 2 * d))
+        nk = np.zeros(K)
         for a, b in blocks:
-            logd = _log_densities(model, data[a:b], XX[a:b])
-            lse[a:b] = _logsumexp(logd, axis=1)
-            resp[a:b] = _responsibilities(logd, lse[a:b])
+            r = resp[:, : b - a]
+            lse[a:b] = _e_step(W, c, Z[a:b], r)
+            S += r @ Z[a:b]
+            nk += r.sum(axis=1)
         ll = float(lse.mean())
         if not np.isfinite(ll):
             raise NumericalError("non-finite log-likelihood during EM")
@@ -385,15 +419,13 @@ def train_gmm(
             break
         prev_ll = ll
 
-        nk = resp.sum(axis=0)
         live = nk > 1e-10
         weights = np.maximum(nk / n, WEIGHT_FLOOR)
         weights /= weights.sum()
         new_means = means.copy()
         new_vars = variances.copy()
-        safe_nk = np.where(live, nk, 1.0)
-        mu = (resp.T @ data) / safe_nk[:, None]
-        second = (resp.T @ XX) / safe_nk[:, None]
+        S /= np.where(live, nk, 1.0)[:, None]
+        mu, second = S[:, :d], S[:, d:]
         new_means[live] = mu[live]
         new_vars[live] = second[live] - mu[live] ** 2
         means = new_means

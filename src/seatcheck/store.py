@@ -379,12 +379,16 @@ def load_descriptor_sets(path: str | Path) -> list[DescriptorSet]:
                 raise DataError("descriptor corpus truncated")
             block = block.reshape(count, width)
             offset += nbytes
+            levels = block[:, 2]
+            # Non-negative integers that fit int64; NaN fails every comparison.
+            if not ((levels >= 0) & (levels < 2.0**63) & (levels == np.floor(levels))).all():
+                raise DataError("descriptor scale levels must be non-negative integers")
             out.append(
                 DescriptorSet(
                     vectors=block[:, 3:].copy(),
                     x_norm=block[:, 0].copy(),
                     y_norm=block[:, 1].copy(),
-                    scale_level=block[:, 2].astype(np.int64),
+                    scale_level=levels.astype(np.int64),
                     source_id=entry["id"],
                 )
             )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,9 +260,28 @@ def test_mutated_files_raise_only_data_error(valid_files, name, data):
     path = valid_files / f"mutated-{name}"
     path.write_bytes(bytes(blob))
     try:
-        LOADERS[name](path)  # a change inside a number may still load
+        with warnings.catch_warnings():
+            if name == "desc.bin":  # a NaN scale level would warn as it is cast to int
+                warnings.simplefilter("error")
+            loaded = LOADERS[name](path)  # a change inside a number may still load
     except DataError:
-        pass
+        return
+    if name == "desc.bin":
+        assert all((d.scale_level >= 0).all() for d in loaded)
+
+
+@pytest.mark.parametrize("level", [np.nan, np.inf, -1.0, 0.5, 1e300])
+def test_descriptor_corpus_rejects_bad_scale_level(valid_files, tmp_path, level):
+    blob = (valid_files / "desc.bin").read_bytes()
+    start = blob.index(b"\n", len(DESC_MAGIC)) + 1
+    rows = np.frombuffer(blob[start:], dtype="<f8").reshape(-1, 3 + 5).copy()
+    rows[1, 2] = level
+    path = tmp_path / "desc.bin"
+    path.write_bytes(blob[:start] + rows.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="scale levels"):
+            load_descriptor_sets(path)
 
 
 ALL_LOADERS = {
