@@ -6,12 +6,12 @@ out row-major with the orientation bin index varying fastest. Extraction is
 upright (no dominant-orientation alignment): the inputs are dashboard-level
 crops, so rotation invariance would only blur the signal.
 
-The gradient-histogram kernel (orientation planes over 2*pi, triangular
-cell weights, L2 -> clip at 0.2 -> L2) is imagecore's, shared with the HoG
-of dpm_face. Cell pooling is separable, as in VLFeat's vl_dsift: the
-bilinear cell weights are an outer product of two 1-D tables, so a sliding
-window in x, then one in y, pool the orientation planes without a
-per-patch copy.
+The gradient-histogram kernel (orientation planes over 2*pi, both votes
+scattered through one flat index, triangular cell weights, L2 -> clip at
+0.2 -> L2) is imagecore's, shared with the HoG of dpm_face. Cell pooling
+is separable, as in VLFeat's vl_dsift: the bilinear cell weights are an
+outer product of two 1-D tables, so a sliding window in x, then one in y,
+pool the orientation planes without a per-patch copy.
 """
 
 from __future__ import annotations

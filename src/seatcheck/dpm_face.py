@@ -14,9 +14,10 @@ of a full configuration is
   + mixture bias
 
 and inference maximizes it exactly over part placements and mixtures by
-leaf-to-root message passing. Per-node maxima are taken naively (quadratic
-in the number of placements) rather than via distance transforms: grids at
-this image scale are small and the direct form mirrors the score exactly.
+leaf-to-root message passing. The spring cost is separable, fx(xp, xc) +
+fy(yp, yc), so each message is a max over the child's y for every (parent y,
+child x), then over the child's x (Felzenszwalb & Huttenlocher's distance
+transform order), taken directly: grids here are a few dozen cells a side.
 
 Training of the templates is out of scope; models are either loaded from
 a model file or synthesized from mean HoG responses of labeled face crops
@@ -281,8 +282,8 @@ def _infer_tree(tree: PartTree, bias: float, fmap: HogFeatureMap):
     Returns (best_value, locations) where ties between placements resolve
     to the smallest (x, y) lexicographically, x first.
     """
-    unary = [_appearance_response(fmap, t) for t in tree.templates]
-    totals = [u.copy() for u in unary]  # node value + accepted child messages
+    # node value + accepted child messages
+    totals = [_appearance_response(fmap, t) for t in tree.templates]
     argmax_child: dict[int, np.ndarray] = {}
 
     for e in tree.ordered_edges():
@@ -293,19 +294,16 @@ def _infer_tree(tree: PartTree, bias: float, fmap: HogFeatureMap):
         dy = np.arange(nyc)[None, :] - (np.arange(nyp)[:, None] + e.anchor_y)
         fx = e.a * dx * dx + e.c * dx  # (nxp, nxc)
         fy = e.b * dy * dy + e.d * dy  # (nyp, nyc)
-        # full (nyp, nxp, nxc, nyc) tensor; child dims ordered x-major so the
-        # flat argmax resolves ties to the smallest (x, y)
-        m4 = (
-            child_total.T[None, None, :, :]
-            + fx[None, :, :, None]
-            + fy[:, None, None, :]
-        )
-        flat = m4.reshape(nyp, nxp, nxc * nyc)
-        best = flat.argmax(axis=2)
-        totals[e.parent] = totals[e.parent] + np.take_along_axis(
-            flat, best[:, :, None], axis=2
-        )[:, :, 0]
-        argmax_child[e.child] = best  # encodes xc * nyc + yc
+        # the spring is separable: max over yc for each (yp, xc), then over xc
+        # for each (yp, xp); argmax keeps the first index at each step, so
+        # ties resolve to the smallest (x, y), x first
+        by_y = child_total.T[None, :, :] + fy[:, None, :]  # (nyp, nxc, nyc)
+        yc = by_y.argmax(axis=2)
+        col = np.take_along_axis(by_y, yc[:, :, None], axis=2)[:, :, 0]  # (nyp, nxc)
+        by_x = col[:, None, :] + fx[None, :, :]  # (nyp, nxp, nxc)
+        xc = by_x.argmax(axis=2)
+        totals[e.parent] = totals[e.parent] + np.take_along_axis(by_x, xc[:, :, None], axis=2)[:, :, 0]
+        argmax_child[e.child] = xc * nyc + np.take_along_axis(yc, xc, axis=1)
 
     root_scores = totals[tree.root]
     nyr, nxr = root_scores.shape

@@ -77,6 +77,8 @@ class EncodedVector:
             raise DataError(
                 f"{self.encoder_kind} vector must have length {expected}, got {v.shape}"
             )
+        if not np.isfinite(v).all():
+            raise DataError(f"{self.encoder_kind} vector values must be finite")
         if self.normalized:
             norm = float(np.linalg.norm(v))
             if norm != 0.0 and abs(norm - 1.0) > UNIT_NORM_TOL:
@@ -111,14 +113,27 @@ def _l2_or_zero(v: np.ndarray) -> np.ndarray:
     return v / norm if norm != 0.0 else np.zeros_like(v)
 
 
+def _in_positional_order(ds: DescriptorSet) -> bool:
+    """Rows strictly ascend in (scale_level, y_norm, x_norm), as extract_dense emits them."""
+    (l0, l1), (y0, y1), (x0, x1) = ((a[:-1], a[1:]) for a in (ds.scale_level, ds.y_norm, ds.x_norm))
+    return bool(((l0 < l1) | ((l0 == l1) & ((y0 < y1) | ((y0 == y1) & (x0 < x1))))).all())
+
+
 def _canonical_order(ds: DescriptorSet) -> np.ndarray:
     """Sort rows by (scale_level, y_norm, x_norm); break position ties by vector."""
+    if _in_positional_order(ds):
+        return np.arange(len(ds))
     keys = (ds.x_norm, ds.y_norm, ds.scale_level)  # lexsort: last key is primary
     order = np.lexsort(keys)
     pos = np.column_stack(keys)[order]
     if (pos[1:] == pos[:-1]).all(axis=1).any():
         order = np.lexsort((*ds.vectors.T[::-1], *keys))
     return order
+
+
+def _canonical_vectors(ds: DescriptorSet) -> np.ndarray:
+    """ds.vectors in canonical order, without a copy when already in it."""
+    return ds.vectors if _in_positional_order(ds) else ds.vectors[_canonical_order(ds)]
 
 
 def _check_nonempty(ds: DescriptorSet, model_d: int) -> None:
@@ -166,8 +181,7 @@ def encode_bow(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) ->
 def encode_vlad(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -> EncodedVector:
     """VLAD: accumulate x_t - mu_i over descriptors nearest to word i."""
     _check_nonempty(ds, cb.d)
-    order = _canonical_order(ds)
-    x = ds.vectors[order]
+    x = _canonical_vectors(ds)
     words = assign_nearest(cb, x)
     acc = np.zeros((cb.K, cb.d))
     np.add.at(acc, words, x - cb.centroids[words])
@@ -185,8 +199,7 @@ def encode_fv(ds: DescriptorSet, gmm: GmmModel, normalize: bool = True) -> Encod
     the posterior-weighted whitened residual sum.
     """
     _check_nonempty(ds, gmm.d)
-    order = _canonical_order(ds)
-    x = ds.vectors[order]
+    x = _canonical_vectors(ds)
     t = x.shape[0]
     alpha = posteriors(gmm, x)  # (T, K)
     s0 = alpha.sum(axis=0)

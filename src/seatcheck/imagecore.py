@@ -7,8 +7,9 @@ is the canonical bit-exact interchange format; PNG loading is optional
 and requires Pillow.
 
 Dense SIFT and HoG share one kernel (Lowe 2004; Dalal & Triggs 2005): soft
-orientation planes (_orientation_planes), pooled into cells by triangular
-weights (_cell_weights), then L2 -> clip at 0.2 -> L2 (_normalize_descriptors).
+orientation planes scattered through one flat pixel*bins + bin index
+(_orientation_planes), pooled into cells by triangular weights (_cell_weights),
+then L2 -> clip at 0.2 -> L2, one division per pass (_normalize_descriptors).
 """
 
 from __future__ import annotations
@@ -129,29 +130,31 @@ def compute_gradients(img: GrayImage) -> GradientField:
 
     mag = np.hypot(dx, dy)
     ori = np.arctan2(dy, dx)
-    ori = np.where(ori < 0.0, ori + 2.0 * np.pi, ori)
+    np.add(ori, 2.0 * np.pi, out=ori, where=ori < 0.0)
     # atan2 returns values in (-pi, pi]; after the shift anything that still
     # rounds up to 2*pi (tiny negative angles) is folded back to 0.
-    ori = np.where(ori >= 2.0 * np.pi, 0.0, ori)
+    np.copyto(ori, 0.0, where=ori >= 2.0 * np.pi)
     return GradientField(magnitude=mag, orientation=ori)
 
 
 def _orientation_planes(mag: np.ndarray, ori: np.ndarray, bins: int, period: float) -> np.ndarray:
     """Split gradient energy into (H, W, bins) planes by soft orientation voting.
 
-    Orientations are taken modulo ``period`` (2*pi signed, pi unsigned); bin
+    ``ori`` lies in [0, 2*pi), as compute_gradients gives it, and is folded
+    modulo ``period`` (2*pi signed, pi unsigned) by one exact subtraction; bin
     centers sit at b * period/bins, so an exactly-horizontal gradient votes
-    entirely into bin 0.
+    entirely into bin 0. Pixel p's bin b sits at flat index p * bins + b.
     """
-    o = np.mod(ori, period) / (period / bins)
+    o = (ori - period * (ori >= period)) / (period / bins)
     b0 = np.floor(o)
     frac = o - b0
-    b0 = b0.astype(np.int64) % bins
-    b1 = (b0 + 1) % bins
+    b0 = b0.astype(np.int64)
+    b0[b0 == bins] = 0  # o rounded up to ``bins``
+    i0 = np.arange(0, mag.size * bins, bins).reshape(mag.shape) + b0
     planes = np.zeros(mag.shape + (bins,))
-    yy, xx = np.indices(mag.shape)
-    planes[yy, xx, b0] = mag * (1.0 - frac)
-    planes[yy, xx, b1] += mag * frac
+    flat = planes.reshape(-1)
+    flat[i0] = mag * (1.0 - frac)
+    flat[np.where(b0 == bins - 1, i0 - (bins - 1), i0 + 1)] += mag * frac
     return planes
 
 
@@ -168,13 +171,13 @@ def _cell_weights(n_cells: int, n_px: int, cell_width: float) -> np.ndarray:
 def _normalize_descriptors(desc: np.ndarray) -> np.ndarray:
     """L2-normalize each row, clip components at CLIP_THRESHOLD, re-L2-normalize.
 
-    Rows whose norm is at most NORM_FLOOR become the zero vector.
+    Rows whose norm is at most NORM_FLOOR become zero (their norm is set to inf).
     """
 
     def safe_unit(d):
         norms = np.sqrt(np.sum(d * d, axis=1, keepdims=True))
-        live = norms > NORM_FLOOR
-        return np.where(live, d / np.where(live, norms, 1.0), 0.0)
+        norms[norms <= NORM_FLOOR] = np.inf
+        return d / norms
 
     return safe_unit(np.minimum(safe_unit(desc), CLIP_THRESHOLD))
 
@@ -197,8 +200,9 @@ def _bilinear_resize(p: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     fx = np.clip(sx - x0, 0.0, 1.0)
     fy = np.clip(sy - y0, 0.0, 1.0)
 
-    top = p[y0[:, None], x0[None, :]] * (1.0 - fx) + p[y0[:, None], x1[None, :]] * fx
-    bot = p[y1[:, None], x0[None, :]] * (1.0 - fx) + p[y1[:, None], x1[None, :]] * fx
+    r0, r1 = p[y0], p[y1]  # gather the two source rows once, then columns
+    top = r0[:, x0] * (1.0 - fx) + r0[:, x1] * fx
+    bot = r1[:, x0] * (1.0 - fx) + r1[:, x1] * fx
     return top * (1.0 - fy[:, None]) + bot * fy[:, None]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from seatcheck import dpm_face
 from seatcheck.dpm_face import (
     Edge,
     HogFeatureMap,
@@ -19,7 +20,8 @@ from seatcheck.dpm_face import (
 from seatcheck.errors import DataError
 from seatcheck.eval_metrics import Rect
 from seatcheck.imagecore import GrayImage, build_pyramid, compute_gradients
-from seatcheck.synthetic import SyntheticSpec, generate_synthetic
+from seatcheck.pipeline import build_face_model
+from seatcheck.synthetic import SyntheticSpec, generate_synthetic, split
 
 
 def hog_oracle(pixels, cell=8, bins=9):
@@ -163,6 +165,53 @@ def exhaustive_best(model, fmap):
             if best is None or s > best[0]:
                 best = (s, m, tuple(locations))
     return best
+
+
+def tensor_infer_tree(tree, bias, fmap):
+    """_infer_tree before separable maxima, kept as the oracle: one full
+    (nyp, nxp, nxc, nyc) tensor per edge and a flat argmax over the child's
+    placements, x-major, so ties resolve to the smallest (x, y)."""
+    totals = [dpm_face._appearance_response(fmap, t) for t in tree.templates]
+    argmax_child = {}
+    for e in tree.ordered_edges():
+        child_total = totals[e.child]
+        nyc, nxc = child_total.shape
+        nyp, nxp = totals[e.parent].shape
+        dx = np.arange(nxc)[None, :] - (np.arange(nxp)[:, None] + e.anchor_x)
+        dy = np.arange(nyc)[None, :] - (np.arange(nyp)[:, None] + e.anchor_y)
+        fx = e.a * dx * dx + e.c * dx
+        fy = e.b * dy * dy + e.d * dy
+        m4 = child_total.T[None, None, :, :] + fx[None, :, :, None] + fy[:, None, None, :]
+        flat = m4.reshape(nyp, nxp, nxc * nyc)
+        best = flat.argmax(axis=2)
+        totals[e.parent] = totals[e.parent] + np.take_along_axis(flat, best[:, :, None], axis=2)[:, :, 0]
+        argmax_child[e.child] = best
+    root_scores = totals[tree.root]
+    nyr = root_scores.shape[0]
+    flat_idx = int(root_scores.T.reshape(-1).argmax())
+    rx, ry = flat_idx // nyr, flat_idx % nyr
+    locations = [None] * tree.n_parts
+    locations[tree.root] = (rx, ry)
+    for e in tree.ordered_edges()[::-1]:
+        px, py = locations[e.parent]
+        nyc = totals[e.child].shape[0]
+        code = int(argmax_child[e.child][py, px])
+        locations[e.child] = (code // nyc, code % nyc)
+    return float(root_scores[ry, rx]) + bias, locations
+
+
+def with_tensor_oracle(fn, *args, **kwargs):
+    """Call fn (infer_best or detect_occupancy) with the oracle message pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpm_face, "_infer_tree", tensor_infer_tree)
+        return fn(*args, **kwargs)
+
+
+def assert_dp_oracle_exhaustive_agree(model, fmap, label):
+    det = infer_best(model, fmap)
+    assert with_tensor_oracle(infer_best, model, fmap) == det, label
+    s, m, locs = exhaustive_best(model, fmap)
+    assert (det.score, det.mixture, det.part_locations) == (s, m, locs), label
 
 
 def random_fmap(rng, cy, cx, bins=2, cell=8):
@@ -346,6 +395,32 @@ def test_random_trees_match_exhaustive():
         s, m, locs = exhaustive_best(model, fmap)
         assert det.score == s, f"trial {trial}"
         assert det.mixture == m and det.part_locations == locs, f"trial {trial}"
+        assert with_tensor_oracle(infer_best, model, fmap) == det, f"trial {trial}"
+
+
+def test_tie_heavy_trees_match_tensor_oracle_and_exhaustive():
+    # All-zero features and integer springs and biases: every score is an
+    # exact integer, so many placements tie and only the tie-break decides.
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        trees = []
+        for _ in range(int(rng.integers(1, 3))):
+            n = int(rng.integers(2, 4))
+            edges = tuple(
+                Edge(parent=int(rng.integers(0, child)), child=child,
+                     anchor_x=int(rng.integers(-2, 3)), anchor_y=int(rng.integers(-2, 3)),
+                     a=float(-rng.integers(1, 3)), b=float(-rng.integers(1, 3)),
+                     c=float(rng.integers(-2, 3)), d=float(rng.integers(-2, 3)))
+                for child in range(1, n)
+            )
+            templates = tuple(rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 3)), 2))
+                              for _ in range(n))
+            trees.append(PartTree(templates=templates, edges=edges))
+        biases = tuple(float(rng.integers(-1, 2)) for _ in trees)
+        model = PartMixtureModel(mixtures=tuple(trees), biases=biases, cell_size=8, bins=2)
+        fmap = HogFeatureMap(features=np.zeros((int(rng.integers(4, 6)), int(rng.integers(4, 6)), 2)),
+                             cell_size=8)
+        assert_dp_oracle_exhaustive_agree(model, fmap, f"trial {trial}")
 
 
 def test_constant_response_shift_moves_best_score_by_constant():
@@ -443,17 +518,28 @@ def test_tree_validation():
         Edge(parent=0, child=1, anchor_x=0, anchor_y=0, a=0.5, b=-1.0)  # a must be < 0
 
 
-def test_synthetic_model_decision_accuracy_on_corpus():
+@pytest.fixture(scope="module")
+def canonical_dpm():
+    """The canonical run's face model (seed 7, 400 images) and its 80 test images."""
+    images = generate_synthetic(SyntheticSpec(count=400, positive_fraction=0.5, seed=7))
+    train, test = split(images, 0.8, seed=1)
+    return build_face_model(train, seed=5), test
+
+
+def test_canonical_detections_match_tensor_oracle(canonical_dpm):
+    model, test = canonical_dpm
+    assert len(test) == 80
+    for im in test:
+        got = detect_occupancy(model, im.image, threshold=0.0)
+        assert got == with_tensor_oracle(detect_occupancy, model, im.image, threshold=0.0), im.image_id
+
+
+def test_synthetic_model_decision_accuracy_on_corpus(canonical_dpm):
     # Mean-template model built from the train split separates person from
     # empty at >= 95% on the held-out split, at the accuracy-optimal threshold.
     from seatcheck.eval_metrics import ScoredSample, best_threshold
-    from seatcheck.synthetic import SyntheticSpec, generate_synthetic, split
 
-    images = generate_synthetic(SyntheticSpec(count=400, positive_fraction=0.5, seed=7))
-    train, test = split(images, 0.8, seed=1)
-    faces = [(im.image, im.gt_face_box) for im in train if im.label == "person"]
-    negatives = [im.image for im in train if im.label == "empty"]
-    model = build_synthetic_face_model(faces, negatives, seed=5)
+    model, test = canonical_dpm
     samples = []
     for im in test:
         _, det = detect_occupancy(model, im.image, threshold=-math.inf)

@@ -8,6 +8,7 @@ from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.encoders import (
     EncodedVector,
     _canonical_order,
+    _canonical_vectors,
     encode_bow,
     encode_fv,
     encode_vlad,
@@ -306,6 +307,31 @@ def test_canonical_order_unique_positions_is_positional():
     permuted_encodings_match(x, y, lvl, rng)
 
 
+def test_canonical_order_keeps_extraction_order_without_a_copy():
+    x, y, lvl = grid_positions()
+    vecs = np.random.default_rng(23).normal(size=(len(x), 4))
+    ds = DescriptorSet(vectors=vecs, x_norm=x, y_norm=y, scale_level=lvl)
+    assert np.array_equal(_canonical_order(ds), np.arange(len(x)))
+    assert _canonical_vectors(ds) is ds.vectors
+    # one swapped pair leaves (level, y, x) order and must be sorted back
+    swap = np.arange(len(x))
+    swap[[40, 41]] = swap[[41, 40]]
+    ds_s = DescriptorSet(vectors=vecs[swap], x_norm=x[swap], y_norm=y[swap], scale_level=lvl[swap])
+    assert np.array_equal(_canonical_order(ds_s), swap)
+    assert np.array_equal(_canonical_vectors(ds_s), vecs)
+
+
+def test_canonical_order_sorted_duplicates_still_break_ties_by_vector():
+    # positions ascend but not strictly: the fast path must not apply, and
+    # rows at one position are ordered by their vectors
+    x, y, lvl = (np.repeat(a[:5], 3) for a in grid_positions())
+    vecs = np.repeat(np.arange(15.0)[::-1, None], 2, axis=1)
+    ds = DescriptorSet(vectors=vecs, x_norm=x, y_norm=y, scale_level=lvl)
+    order = _canonical_order(ds)
+    assert np.array_equal(order, (np.arange(15).reshape(5, 3)[:, ::-1]).ravel())
+    assert np.array_equal(_canonical_vectors(ds), vecs[order])
+
+
 def test_canonical_order_colliding_positions_falls_back_to_vectors():
     rng = np.random.default_rng(22)
     x, y, lvl = grid_positions()
@@ -397,3 +423,12 @@ def test_encoded_vector_invariants():
     c = EncodedVector(values=np.zeros(5), encoder_kind="fisher", K=2, d=3,
                       normalized=False, compressed_dim=5)
     assert c.fingerprint.endswith(":pca=5")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_encoded_vector_rejects_non_finite_values(bad, normalized):
+    v = np.array([0.6, 0.8, 0.0, 0.0])
+    v[3] = bad
+    with pytest.raises(DataError, match="finite"):
+        EncodedVector(values=v, encoder_kind="fisher", K=2, d=2, normalized=normalized)

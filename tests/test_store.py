@@ -193,6 +193,19 @@ def test_encoded_corpus_round_trip_and_csv(tmp_path):
         save_corpus(mixed, None, ["a", "b"], tmp_path / "mixed.bin")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_corpus_with_non_finite_value_is_rejected(tmp_path, bad):
+    v = EncodedVector(values=np.array([0.6, 0.8, 0.0, 0.0]), encoder_kind="fisher", K=2, d=2,
+                      normalized=True)
+    path = tmp_path / "corpus.bin"
+    save_corpus([v], [1], ["im0"], path)
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([bad], dtype="<f8").tobytes()  # the last float
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="finite"):
+        load_corpus(path)
+
+
 def test_version_1_model_file_is_rejected():
     doc = json.loads(model_to_json(small_model(np.random.default_rng(6))))
     doc["version"] = 1
