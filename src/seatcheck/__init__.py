@@ -12,7 +12,7 @@ persistence, and a CLI (`seatcheck`).
 """
 
 from .codebooks import GmmModel, KmeansCodebook, posteriors, train_gmm, train_kmeans
-from .dense_descriptors import DescriptorSet, descriptor_count, extract_dense
+from .dense_descriptors import DescriptorSet, extract_dense
 from .dpm_face import (
     Detection,
     Edge,
@@ -25,7 +25,7 @@ from .dpm_face import (
     infer_best,
     score_configuration,
 )
-from .encoders import EncodedVector, encode_bow, encode_fv, encode_vlad, fisher_kernel, power_l2_normalize
+from .encoders import EncodedVector, encode_bow, encode_fv, encode_vlad, power_l2_normalize
 from .errors import DataError, NumericalError, SeatcheckError, StageError
 from .eval_metrics import (
     EvalCurve,
@@ -79,13 +79,11 @@ __all__ = [
     "build_synthetic_face_model",
     "compute_gradients",
     "compute_hog",
-    "descriptor_count",
     "detect_occupancy",
     "encode_bow",
     "encode_fv",
     "encode_vlad",
     "extract_dense",
-    "fisher_kernel",
     "fit_pca",
     "generate_synthetic",
     "infer_best",

@@ -79,10 +79,14 @@ def cmd_extract(args) -> int:
 
 def cmd_train_pca(args) -> int:
     sets = store.load_descriptor_sets(args.descriptors)
-    data = pool_descriptors(sets, args.sample, args.sample_seed)
-    model = fit_pca(data, args.dim)
+    if args.sample is None:
+        blocks = [s.vectors for s in sets]
+    else:
+        blocks = [pool_descriptors(sets, args.sample, args.sample_seed)]
+    model = fit_pca(blocks, args.dim)
     store.save_pca(model, args.out)
-    print(f"PCA {model.d_in} -> {model.d_out} fitted on {data.shape[0]} descriptors -> {args.out}")
+    n = sum(len(b) for b in blocks)
+    print(f"PCA {model.d_in} -> {model.d_out} fitted on {n} descriptors -> {args.out}")
     return 0
 
 

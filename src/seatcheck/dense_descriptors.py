@@ -23,10 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .imagecore import (
-    DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, ScalePyramid, _cell_weights, _normalize_descriptors, _orientation_planes,
-    compute_gradients, level_size,
-)
+from .imagecore import ScalePyramid, _cell_weights, _normalize_descriptors, _orientation_planes, compute_gradients
 
 N_CELLS = 4
 N_ORI_BINS = 8
@@ -111,26 +108,6 @@ def extract_dense(
         scale_level=np.concatenate(all_lvl),
         source_id=source_id,
     )
-
-
-def descriptor_count(
-    width: int,
-    height: int,
-    levels: int = DEFAULT_LEVELS,
-    factor: float = DEFAULT_SCALE_FACTOR,
-    patch: int = DEFAULT_PATCH,
-    stride: int = DEFAULT_STRIDE,
-) -> int:
-    """Total grid positions across all levels; extract_dense yields exactly this."""
-    if min(width, height, levels, patch, stride) < 1 or factor <= 0.0:
-        raise DataError("descriptor_count arguments must be positive")
-    total = 0
-    for l in range(levels):
-        w = width if l == 0 else level_size(width, factor, l)
-        h = height if l == 0 else level_size(height, factor, l)
-        if w >= patch and h >= patch:
-            total += ((w - patch) // stride + 1) * ((h - patch) // stride + 1)
-    return total
 
 
 def descriptors_to_csv(ds: DescriptorSet) -> str:

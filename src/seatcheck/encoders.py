@@ -210,15 +210,3 @@ def encode_fv(ds: DescriptorSet, gmm: GmmModel, normalize: bool = True) -> Encod
     if normalize:
         flat = power_l2_normalize(flat)
     return EncodedVector(values=flat, encoder_kind="fisher", K=gmm.K, d=gmm.d, normalized=normalize)
-
-
-def fisher_kernel(a: EncodedVector, b: EncodedVector) -> float:
-    """Dot product of two normalized Fisher vectors."""
-    for v in (a, b):
-        if v.encoder_kind != "fisher":
-            raise DataError("fisher_kernel requires fisher-kind vectors")
-        if not v.normalized:
-            raise DataError("fisher_kernel requires normalized vectors")
-    if a.K != b.K or a.d != b.d or a.values.shape != b.values.shape:
-        raise DataError("fisher_kernel operands have mismatched shapes")
-    return float(np.dot(a.values, b.values))

@@ -6,10 +6,16 @@ vectors (e.g. Fisher vectors to 512-D). Covariance is the biased (1/N)
 estimate so that per-axis projected variance equals the stored eigenvalue
 exactly on the training sample. No whitening: the downstream Fisher
 encoding already divides by per-component standard deviations.
+
+``fit_pca`` takes the sample as one array or as a sequence of row blocks
+(the pipeline passes one block per image). The covariance is summed block
+by block into one (d_in, d_in) buffer, so fitting never stacks the corpus
+and never holds a centered copy of more than one block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,26 +60,42 @@ class PcaModel:
         return self.basis.shape[0]
 
 
-def fit_pca(data: np.ndarray, d_out: int) -> PcaModel:
+def fit_pca(data: np.ndarray | Sequence[np.ndarray], d_out: int) -> PcaModel:
     """Fit by symmetric eigendecomposition of the (biased) sample covariance.
+
+    ``data`` is one (samples, d_in) array or a sequence of (n_i, d_in) row
+    blocks that together form the sample. The mean is summed over blocks,
+    then each block's centered scatter ``(b - mean).T @ (b - mean)`` is added
+    into one buffer. One block gives the same bits as the whole-array fit;
+    a split sample sums in another order and agrees to round-off.
 
     Each basis row's sign is fixed so its largest-magnitude component is
     positive, making fitted models reproducible across runs.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError("fit_pca expects a (samples, d_in) array")
-    n, d_in = data.shape
-    if not np.isfinite(data).all():
+    blocks = [data] if isinstance(data, np.ndarray) else list(data)
+    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+    if not blocks or any(b.ndim != 2 for b in blocks):
+        raise DataError("fit_pca expects a (samples, d_in) array or a sequence of them")
+    d_in = blocks[0].shape[1]
+    if any(b.shape[1] != d_in for b in blocks):
+        raise DataError("fit_pca blocks must all have the same width")
+    if not all(np.isfinite(b).all() for b in blocks):
         raise DataError("fit_pca input contains non-finite values")
+    n = sum(b.shape[0] for b in blocks)
     if d_out < 1 or d_out > d_in:
         raise DataError(f"d_out must be in [1, {d_in}], got {d_out}")
     if n < d_out:
         raise DataError(f"need at least d_out={d_out} samples, got {n}")
 
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = (centered.T @ centered) / n
+    total = np.zeros(d_in)
+    for b in blocks:
+        total += b.sum(axis=0)
+    mean = total / n
+    scatter = np.zeros((d_in, d_in))
+    for b in blocks:
+        centered = b - mean
+        scatter += centered.T @ centered
+    cov = scatter / n
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
     order = np.argsort(eigvals)[::-1][:d_out]
     ev = np.maximum(eigvals[order], 0.0)  # clip eigh round-off

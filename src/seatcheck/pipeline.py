@@ -130,12 +130,23 @@ def signature(ds: DescriptorSet, quantizer, encoder_kind: str, final_pca=None) -
 
 
 def pool_descriptors(sets: list[DescriptorSet], cap: int | None = None, seed: int = 0) -> np.ndarray:
-    """Stack the descriptors of ``sets``; above ``cap`` rows, keep a seeded random subsample."""
-    pool = np.concatenate([d.vectors for d in sets])
-    if cap is None or pool.shape[0] <= cap:
-        return pool
-    rng = np.random.default_rng(seed)
-    return pool[rng.choice(pool.shape[0], size=cap, replace=False)]
+    """Stack the descriptors of ``sets``; above ``cap`` rows, keep a seeded random subsample.
+
+    The subsample draws its row indices over the concatenated sets first and
+    then gathers only those rows, in the order drawn, so it equals indexing
+    the concatenation without building it.
+    """
+    starts = np.cumsum([0] + [len(d) for d in sets])
+    if cap is None or starts[-1] <= cap:
+        return np.concatenate([d.vectors for d in sets])
+    idx = np.random.default_rng(seed).choice(starts[-1], size=cap, replace=False)
+    order = np.argsort(idx)
+    cuts = np.searchsorted(idx[order], starts)
+    pool = np.empty((cap, sets[0].dim))
+    for d, start, lo, hi in zip(sets, starts, cuts, cuts[1:]):
+        rows = order[lo:hi]
+        pool[rows] = d.vectors[idx[rows] - start]
+    return pool
 
 
 def evaluate(classifier: LinearModel, vectors, labels, ids, yield_grid=DEFAULT_YIELD_GRID):
@@ -190,10 +201,14 @@ def _extract_all(images, config, pca=None) -> list[DescriptorSet]:
 
 @_stage("pca")
 def _fit_project_pca(train_sets, config):
+    """Fit on the sets as per-image blocks, then replace each set in ``train_sets``
+    by its projection, so each raw set is freed as soon as its projection exists."""
     if config.pca_dim is None:
         return None, train_sets
-    pca = fit_pca(pool_descriptors(train_sets), config.pca_dim)
-    return pca, [project_set(pca, d) for d in train_sets]
+    pca = fit_pca([d.vectors for d in train_sets], config.pca_dim)
+    for i, d in enumerate(train_sets):
+        train_sets[i] = project_set(pca, d)
+    return pca, train_sets
 
 
 @_stage("vocab")
@@ -305,6 +320,8 @@ def run_pipeline(
                 "k": config.k,
                 "dpm_accuracy": dpm_acc,
                 "dpm_threshold": dpm_threshold,
+                # best_threshold picks the threshold that maximizes test accuracy.
+                "dpm_threshold_split": "test" if config.with_dpm else None,
             }
             atomic_write_text(
                 out_dir / "metrics.json", json.dumps(metrics, sort_keys=True, indent=2) + "\n"

@@ -7,6 +7,7 @@ roadway imagery and are not reproducible here.
 """
 
 import itertools
+import json
 import math
 import time
 from dataclasses import replace
@@ -341,6 +342,14 @@ def test_criterion_6_classification_beats_face_detection(canonical_run):
         f"{result.dpm_accuracy:.4f} at its score-sweep-optimal threshold "
         f"({result.dpm_threshold:.3f})",
     )
+
+
+def test_metrics_say_the_dpm_threshold_was_chosen_on_the_test_split(canonical_run):
+    result, _, out = canonical_run
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["dpm_threshold_split"] == "test"
+    assert metrics["dpm_threshold"] == result.dpm_threshold
+    assert metrics["dpm_accuracy"] == result.dpm_accuracy
 
 
 def test_criterion_7_metric_exactness():

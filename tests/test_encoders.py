@@ -12,7 +12,6 @@ from seatcheck.encoders import (
     encode_bow,
     encode_fv,
     encode_vlad,
-    fisher_kernel,
     power_l2_normalize,
 )
 from seatcheck.errors import DataError, NumericalError
@@ -343,30 +342,6 @@ def test_canonical_order_colliding_positions_falls_back_to_vectors():
     keys = np.column_stack([lvl, y, x, vecs])[order]
     assert all(tuple(a) < tuple(b) for a, b in zip(keys[:-1], keys[1:]))
     permuted_encodings_match(x, y, lvl, rng)
-
-
-def test_fisher_kernel_basic_and_oracle():
-    rng = np.random.default_rng(7)
-    gmm = random_gmm(rng, K=2, d=3)
-    a = encode_fv(make_set(rng.normal(size=(10, 3))), gmm)
-    assert fisher_kernel(a, a) == pytest.approx(1.0, abs=1e-12)
-
-    e0 = np.zeros(6)
-    e0[0] = 1.0
-    e1 = np.zeros(6)
-    e1[1] = 1.0
-    va = EncodedVector(values=e0, encoder_kind="fisher", K=2, d=3, normalized=True)
-    vb = EncodedVector(values=e1, encoder_kind="fisher", K=2, d=3, normalized=True)
-    assert fisher_kernel(va, vb) == 0.0
-
-    b = encode_fv(make_set(rng.normal(size=(10, 3))), gmm)
-    expected = math.fsum(float(u) * float(v) for u, v in zip(a.values, b.values))
-    assert fisher_kernel(a, b) == pytest.approx(expected, abs=1e-12)
-
-    bow = encode_bow(make_set(rng.normal(size=(5, 3)), rng.uniform(size=5), rng.uniform(size=5)),
-                     KmeansCodebook(centroids=rng.normal(size=(2, 3))))
-    with pytest.raises(DataError):
-        fisher_kernel(a, bow)
 
 
 def test_power_l2_normalize():

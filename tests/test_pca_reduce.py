@@ -1,8 +1,46 @@
 import numpy as np
 import pytest
 
+from seatcheck import store
+from seatcheck.cli import main
 from seatcheck.errors import DataError
 from seatcheck.pca_reduce import PcaModel, fit_pca, project
+from seatcheck.pipeline import PipelineConfig, describe
+from seatcheck.synthetic import SyntheticSpec, generate_synthetic
+
+# Bound on how far a block-wise fit may move from the whole-array fit.
+ORACLE_TOL = 1e-12
+
+
+def old_fit_pca(data, d_out):
+    """The whole-array fit: one mean, one centered copy of the whole sample."""
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    mean = data.mean(axis=0)
+    centered = data - mean
+    cov = (centered.T @ centered) / n
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1][:d_out]
+    ev = np.maximum(eigvals[order], 0.0)
+    basis = eigvecs[:, order].T
+    for i in range(d_out):
+        j = int(np.argmax(np.abs(basis[i])))
+        if basis[i, j] < 0:
+            basis[i] = -basis[i]
+    return PcaModel(mean=mean, basis=basis, eigenvalues=ev)
+
+
+def assert_close_to_oracle(model, oracle):
+    for name in ("mean", "basis", "eigenvalues"):
+        np.testing.assert_allclose(getattr(model, name), getattr(oracle, name), rtol=0, atol=ORACLE_TOL,
+                                   err_msg=name)
+
+
+@pytest.fixture(scope="module")
+def raw_sets():
+    """Raw 128-D descriptor sets of 40 canonical-size images, one per image."""
+    images = generate_synthetic(SyntheticSpec(count=40, seed=7))
+    return [describe(im.image, PipelineConfig(), source_id=im.image_id) for im in images]
 
 
 def power_iteration_oracle(data, d_out, iters=5000):
@@ -120,3 +158,58 @@ def test_error_cases():
         project(m, np.zeros(5))
     with pytest.raises(DataError):
         PcaModel(mean=np.zeros(2), basis=np.array([[1.0, 1.0]]), eigenvalues=np.array([1.0]))
+
+
+def test_block_fit_matches_whole_array_oracle(raw_sets):
+    pool = np.concatenate([d.vectors for d in raw_sets])
+    oracle = old_fit_pca(pool, 64)
+    assert_close_to_oracle(fit_pca([d.vectors for d in raw_sets], 64), oracle)
+    uneven = np.split(pool, [1, 2, 7, 20000, pool.shape[0] - 3])
+    assert_close_to_oracle(fit_pca(uneven, 64), oracle)
+    # One block is the whole-array fit, bit for bit.
+    for got in (fit_pca(pool, 64), fit_pca([pool], 64)):
+        for name in ("mean", "basis", "eigenvalues"):
+            assert np.array_equal(getattr(got, name), getattr(oracle, name)), name
+
+
+def test_one_row_blocks_match_whole_array_oracle(raw_sets):
+    rows = np.concatenate([d.vectors for d in raw_sets[:4]])
+    assert_close_to_oracle(fit_pca(list(rows[:, None, :]), 64), old_fit_pca(rows, 64))
+
+
+def test_block_fit_checks_every_block():
+    rng = np.random.default_rng(8)
+    good = rng.normal(size=(20, 4))
+    bad = good.copy()
+    bad[3, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        fit_pca([good, good, bad], 2)
+    with pytest.raises(DataError, match="same width"):
+        fit_pca([good, good[:, :3]], 2)
+    with pytest.raises(DataError):
+        fit_pca([good, good[0]], 2)  # a 1-D block
+    with pytest.raises(DataError):
+        fit_pca([], 2)
+    with pytest.raises(DataError, match="at least d_out"):
+        fit_pca([good[:1], good[1:2]], 3)
+
+
+def test_cli_train_pca_matches_whole_array_fit(raw_sets, tmp_path, capsys):
+    sets = raw_sets[:8]
+    desc = tmp_path / "desc.bin"
+    store.save_descriptor_sets(sets, desc)
+    pool = np.concatenate([d.vectors for d in sets])
+
+    out = tmp_path / "pca.json"
+    assert main(["train-pca", "--descriptors", str(desc), "--dim", "32", "--out", str(out)]) == 0
+    assert f"fitted on {pool.shape[0]} descriptors" in capsys.readouterr().out
+    assert_close_to_oracle(store.load_pca(out), old_fit_pca(pool, 32))
+
+    # --sample draws from the whole corpus and fits one block: the old bits.
+    assert main(["train-pca", "--descriptors", str(desc), "--dim", "32", "--out", str(out),
+                 "--sample", "3000", "--sample-seed", "5"]) == 0
+    assert "fitted on 3000 descriptors" in capsys.readouterr().out
+    sample = pool[np.random.default_rng(5).choice(pool.shape[0], size=3000, replace=False)]
+    got, oracle = store.load_pca(out), old_fit_pca(sample, 32)
+    for name in ("mean", "basis", "eigenvalues"):
+        assert np.array_equal(getattr(got, name), getattr(oracle, name)), name

@@ -1,10 +1,15 @@
+import json
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seatcheck import pipeline
+from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.errors import DataError, StageError
-from seatcheck.pipeline import PipelineConfig, run_pipeline, score_image
+from seatcheck.pipeline import PipelineConfig, pool_descriptors, run_pipeline, score_image
 from seatcheck.store import load_model
 from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
@@ -33,6 +38,7 @@ def test_fisher_pipeline_end_to_end(corpus, tmp_path):
     assert (tmp_path / "roc.csv").read_text().startswith("fpr,tpr\n")
     assert (tmp_path / "yield.csv").read_text().startswith("yield,accuracy\n")
     assert "fisher" in (tmp_path / "table.csv").read_text()
+    assert json.loads((tmp_path / "metrics.json").read_text())["dpm_threshold_split"] is None
 
     model = load_model(tmp_path / "model.json")
     s = score_image(model, corpus[0].image)
@@ -102,3 +108,55 @@ def test_saved_model_scores_with_its_training_geometry(corpus, tmp_path, geometr
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(DataError):
         replace(SMALL, **bad)
+
+
+def old_pool_descriptors(sets, cap=None, seed=0):
+    """Concatenate every set, then index the concatenation."""
+    pool = np.concatenate([d.vectors for d in sets])
+    if cap is None or pool.shape[0] <= cap:
+        return pool
+    rng = np.random.default_rng(seed)
+    return pool[rng.choice(pool.shape[0], size=cap, replace=False)]
+
+
+def random_sets(rng, sizes, dim=5):
+    return [
+        DescriptorSet(vectors=rng.normal(size=(t, dim)), x_norm=np.zeros(t), y_norm=np.zeros(t),
+                      scale_level=np.zeros(t, dtype=np.int64))
+        for t in sizes
+    ]
+
+
+@pytest.mark.parametrize("sizes", [(7, 0, 30, 1, 12), (1,) * 25, (40,)])
+def test_pool_gathers_the_rows_the_concatenation_would(sizes):
+    sets = random_sets(np.random.default_rng(len(sizes)), sizes)
+    total = sum(sizes)
+    for cap in (None, 1, total // 2, total - 1, total, total + 1):
+        for seed in (0, 3):
+            got = pool_descriptors(sets, cap, seed)
+            assert np.array_equal(got, old_pool_descriptors(sets, cap, seed)), (cap, seed)
+
+
+def test_pca_stage_and_vocab_pool_stay_within_the_raw_corpus():
+    """Through the pca stage and the vocabulary pool, traced memory peaks at 1.1x the
+    raw descriptors' bytes, the raw descriptors included; a stacked copy of the corpus
+    plus its centered copy would make it about 3x. No raw set outlives its projection."""
+    images = generate_synthetic(SyntheticSpec(count=40, seed=7))
+    config = PipelineConfig(pca_dim=64, vocab_sample=20000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sets = pipeline._extract_all(images, config)
+        raw = sum(d.vectors.nbytes for d in sets)
+        assert sum(len(d) for d in sets) > config.vocab_sample
+        alive = [weakref.ref(d) for d in sets]
+        tracemalloc.reset_peak()
+        _, projected = pipeline._fit_project_pca(sets, config)
+        pool = pipeline.pool_descriptors(projected, config.vocab_sample, config.sample_seed)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pool.shape == (config.vocab_sample, 64)
+    assert peak <= 1.1 * raw, f"peak {peak / raw:.2f}x the raw corpus"
+    assert not any(ref() is not None for ref in alive)
+    assert all(d.dim == 64 for d in sets)
