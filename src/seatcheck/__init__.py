@@ -25,7 +25,7 @@ from .dpm_face import (
     infer_best,
     score_configuration,
 )
-from .encoders import EncodedVector, encode_bow, encode_fv, encode_vlad, power_l2_normalize
+from .encoders import Provenance, encode_bow, encode_fv, encode_vlad, power_l2_normalize
 from .errors import DataError, NumericalError, SeatcheckError, StageError
 from .eval_metrics import (
     EvalCurve,
@@ -50,7 +50,6 @@ __all__ = [
     "DescriptorSet",
     "Detection",
     "Edge",
-    "EncodedVector",
     "EvalCurve",
     "GmmModel",
     "GradientField",
@@ -66,6 +65,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineModel",
     "PipelineResult",
+    "Provenance",
     "Rect",
     "ScalePyramid",
     "ScoredSample",

@@ -18,11 +18,11 @@ from pathlib import Path
 from . import store
 from .codebooks import gmm_debug_dump, train_gmm, train_kmeans
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, descriptors_to_csv
-from .encoders import ENCODER_KINDS
+from .encoders import ENCODER_KINDS, Provenance, check_quantizer_kind
 from .errors import DataError, NumericalError, SeatcheckError
 from .eval_metrics import ScoredSample, accuracy, best_threshold, curve_to_csv, is_true_positive
 from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
-from .linear_classifier import train_svm, weights_to_csv
+from .linear_classifier import check_trained_on, train_svm, weights_to_csv
 from .pca_reduce import fit_pca, project_set
 from .pipeline import (
     PipelineConfig,
@@ -53,10 +53,10 @@ def _from_args(cls, args):
 
 
 def _labeled_corpus(path):
-    vectors, labels, ids = store.load_corpus(path)
+    x, provenance, labels, ids = store.load_corpus(path)
     if labels is None:
         raise DataError("corpus has no labels; encode with --manifest to attach them")
-    return vectors, labels, ids
+    return x, provenance, labels, ids
 
 
 def cmd_synth_gen(args) -> int:
@@ -123,7 +123,8 @@ def cmd_train_gmm(args) -> int:
 def cmd_encode(args) -> int:
     sets = _load_projected_sets(args)
     quantizer = store.load_quantizer(args.vocab)
-    vectors = [signature(s, quantizer, args.encoder) for s in sets]
+    check_quantizer_kind(args.encoder, quantizer)
+    x = [signature(s, quantizer, args.encoder) for s in sets]
     ids = [s.source_id for s in sets]
     labels = None
     if args.manifest:
@@ -132,27 +133,30 @@ def cmd_encode(args) -> int:
             labels = [targets[i] for i in ids]
         except KeyError as e:
             raise DataError(f"image {e} is not in the manifest") from e
-    store.save_corpus(vectors, labels, ids, args.out)
+    store.save_corpus(x, Provenance(args.encoder, quantizer.K, quantizer.d), labels, ids, args.out)
     if args.csv:
-        store.atomic_write_text(args.csv, store.corpus_to_csv(vectors, labels, ids))
-    print(f"encoded {len(vectors)} images ({args.encoder}, len={vectors[0].values.shape[0]}) -> {args.out}")
+        store.atomic_write_text(args.csv, store.corpus_to_csv(x, labels, ids))
+    print(f"encoded {len(x)} images ({args.encoder}, len={len(x[0])}) -> {args.out}")
     return 0
 
 
 def cmd_train_svm(args) -> int:
-    vectors, labels, _ = _labeled_corpus(args.corpus)
-    clf = train_svm(list(zip(vectors, labels)), lambda_=args.lambda_, epochs=args.epochs, seed=args.seed)
+    x, provenance, labels, _ = _labeled_corpus(args.corpus)
+    clf = train_svm(
+        x, labels, provenance.fingerprint, lambda_=args.lambda_, epochs=args.epochs, seed=args.seed
+    )
     store.save_classifier(clf, args.out)
     if args.weights_csv:
         store.atomic_write_text(args.weights_csv, weights_to_csv(clf))
-    print(f"SVM trained on {len(vectors)} vectors -> {args.out}")
+    print(f"SVM trained on {len(x)} signatures -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    vectors, labels, ids = _labeled_corpus(args.corpus)
+    x, provenance, labels, ids = _labeled_corpus(args.corpus)
     clf = store.load_classifier(args.classifier)
-    _, acc, roc, auc, yc = evaluate(clf, vectors, labels, ids)
+    check_trained_on(clf, provenance)
+    _, acc, roc, auc, yc = evaluate(clf, x, labels, ids)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     store.atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))

@@ -34,9 +34,6 @@ VARIANCE_FLOOR = 1e-8
 # the ML estimates mean anything.
 MIN_SAMPLES_PER_COMPONENT = 10
 
-# Nearest-centroid search uses the naive (N, K, d) difference form up to
-# this many elements, and the expanded matmul form above it.
-NAIVE_LIMIT = 1 << 22
 # Row blocks of the distance and E-step kernels hold about this many float64s
 # (1 MiB, within a core's L2 cache). Splitting rows does not change any
 # row's distances, but numpy computes a one-row product as a matrix-vector
@@ -140,18 +137,9 @@ def _nearest(
     data: np.ndarray, centroids: np.ndarray, data_sq: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index of the closest centroid for every row (ties go to the lowest
-    index) and the squared distance to it.
-
-    Batches with N*K*d <= NAIVE_LIMIT use the naive difference form, so ties
-    behave exactly like a per-point linear scan (the tie-break contract).
-    Larger ones use the expanded form, one row block at a time; the choice is
-    made on the whole batch, never per block.
-    """
+    index) and the squared distance to it, in the expanded form, one row
+    block at a time."""
     n, K = data.shape[0], centroids.shape[0]
-    if n * K * data.shape[1] <= NAIVE_LIMIT:
-        d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        return labels, d2[np.arange(n), labels]
     if data_sq is None:
         data_sq = (data * data).sum(axis=1)
     labels = np.empty(n, dtype=np.intp)

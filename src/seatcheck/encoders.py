@@ -1,6 +1,7 @@
 """Aggregate a set of local descriptors into one fixed-length image signature.
 
-Three encoders share the same contract (descriptors in, one vector out):
+Three encoders share the same contract: a descriptor set in, one 1-D
+float64 array (the image signature) out.
 
 * BoW: nearest-word histograms over a 1 + 2x2 + 4x4 spatial pyramid
   (21 regions), each region L1-normalized, concatenated, L2-normalized.
@@ -14,6 +15,9 @@ VLAD and FV sums run over descriptors in a canonical order, so encodings
 are bit-identical under any permutation of the input set: positional
 (scale_level, y_norm, x_norm) order, with a lexicographic fallback on the
 vector components only where two descriptors share a position.
+
+What produced a signature (encoder kind, K, d and any final PCA) is one
+``Provenance`` per encoded corpus or model, checked once, not per image.
 """
 
 from __future__ import annotations
@@ -31,66 +35,41 @@ ENCODER_KINDS = ("bow", "vlad", "fisher")
 # 1 whole-image region + 2x2 + 4x4 grid cells.
 BOW_REGIONS = 1 + 4 + 16
 
-UNIT_NORM_TOL = 1e-9
-
 
 def check_quantizer_kind(encoder_kind: str, quantizer) -> None:
     """Fisher needs a GMM; bow and vlad need a k-means codebook."""
-    if encoder_kind not in ENCODER_KINDS:
-        raise DataError(f"unknown encoder kind {encoder_kind!r}")
     if encoder_kind == "fisher" and not isinstance(quantizer, GmmModel):
         raise DataError("fisher encoding requires a GMM vocabulary")
     if encoder_kind != "fisher" and not isinstance(quantizer, KmeansCodebook):
         raise DataError(f"{encoder_kind} encoding requires a k-means codebook")
 
 
-def native_length(encoder_kind: str, K: int, d: int) -> int:
-    """Signature length before any final PCA: BOW_REGIONS*K histograms, else K*d."""
-    return BOW_REGIONS * K if encoder_kind == "bow" else K * d
-
-
 @dataclass(frozen=True)
-class EncodedVector:
-    """One fixed-length image signature plus the provenance of its encoder.
+class Provenance:
+    """What made a signature: the encoder kind, the vocabulary size K, the
+    descriptor dim d, and the output dim of a final PCA when one compressed it.
+    ``fingerprint`` is the one place that writes the provenance format; a
+    classifier stores it as ``trained_on``."""
 
-    ``compressed_dim`` is set when the vector was further reduced by PCA
-    (e.g. Fisher to 512-D); the native length contract then no longer
-    applies and the fingerprint records the compressed dimension.
-    """
-
-    values: np.ndarray
-    encoder_kind: str
+    kind: str
     K: int
     d: int
-    normalized: bool
     compressed_dim: int | None = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.encoder_kind not in ENCODER_KINDS:
-            raise DataError(f"unknown encoder kind {self.encoder_kind!r}")
-        if self.compressed_dim is None:
-            expected = native_length(self.encoder_kind, self.K, self.d)
-        else:
-            expected = self.compressed_dim
-        if v.shape != (expected,):
-            raise DataError(
-                f"{self.encoder_kind} vector must have length {expected}, got {v.shape}"
-            )
-        if not np.isfinite(v).all():
-            raise DataError(f"{self.encoder_kind} vector values must be finite")
-        if self.normalized:
-            norm = float(np.linalg.norm(v))
-            if norm != 0.0 and abs(norm - 1.0) > UNIT_NORM_TOL:
-                raise DataError(f"vector marked normalized has L2 norm {norm!r}")
-        object.__setattr__(self, "values", v)
+        if self.kind not in ENCODER_KINDS:
+            raise DataError(f"unknown encoder kind {self.kind!r}")
+
+    @property
+    def length(self) -> int:
+        if self.compressed_dim is not None:
+            return self.compressed_dim
+        return BOW_REGIONS * self.K if self.kind == "bow" else self.K * self.d
 
     @property
     def fingerprint(self) -> str:
-        base = f"{self.encoder_kind}:K={self.K}:d={self.d}"
-        if self.compressed_dim is not None:
-            base += f":pca={self.compressed_dim}"
-        return base
+        base = f"{self.kind}:K={self.K}:d={self.d}"
+        return base if self.compressed_dim is None else f"{base}:pca={self.compressed_dim}"
 
 
 def power_l2_normalize(v: np.ndarray, alpha: float = 0.5) -> np.ndarray:
@@ -108,9 +87,10 @@ def power_l2_normalize(v: np.ndarray, alpha: float = 0.5) -> np.ndarray:
     return powered / norm
 
 
-def _l2_or_zero(v: np.ndarray) -> np.ndarray:
+def l2_or_zero(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit L2 norm; the all-zero vector maps to itself."""
     norm = np.linalg.norm(v)
-    return v / norm if norm != 0.0 else np.zeros_like(v)
+    return v / norm if norm != 0.0 else v
 
 
 def _in_positional_order(ds: DescriptorSet) -> bool:
@@ -148,7 +128,7 @@ def _grid_index(coord: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(np.floor(coord * n).astype(np.int64), n - 1)
 
 
-def encode_bow(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -> EncodedVector:
+def encode_bow(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -> np.ndarray:
     """Spatial-pyramid bag-of-words: whole image + 2x2 + 4x4 region histograms.
 
     Each region histogram is L1-normalized (empty regions stay zero) so the
@@ -174,11 +154,11 @@ def encode_bow(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) ->
     hists = np.divide(hists, sums, out=np.zeros_like(hists), where=sums > 0)
     flat = hists.ravel()
     if normalize:
-        flat = _l2_or_zero(flat)
-    return EncodedVector(values=flat, encoder_kind="bow", K=K, d=ds.dim, normalized=normalize)
+        flat = l2_or_zero(flat)
+    return flat
 
 
-def encode_vlad(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -> EncodedVector:
+def encode_vlad(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -> np.ndarray:
     """VLAD: accumulate x_t - mu_i over descriptors nearest to word i."""
     _check_nonempty(ds, cb.d)
     x = _canonical_vectors(ds)
@@ -188,10 +168,10 @@ def encode_vlad(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -
     flat = acc.ravel()
     if normalize:
         flat = power_l2_normalize(flat)
-    return EncodedVector(values=flat, encoder_kind="vlad", K=cb.K, d=cb.d, normalized=normalize)
+    return flat
 
 
-def encode_fv(ds: DescriptorSet, gmm: GmmModel, normalize: bool = True) -> EncodedVector:
+def encode_fv(ds: DescriptorSet, gmm: GmmModel, normalize: bool = True) -> np.ndarray:
     """Fisher vector over the mean parameters of a diagonal GMM.
 
     With S0_i = sum_t alpha_t(i) and S1_i = sum_t alpha_t(i) x_t, component
@@ -209,4 +189,4 @@ def encode_fv(ds: DescriptorSet, gmm: GmmModel, normalize: bool = True) -> Encod
     flat = g.ravel()
     if normalize:
         flat = power_l2_normalize(flat)
-    return EncodedVector(values=flat, encoder_kind="fisher", K=gmm.K, d=gmm.d, normalized=normalize)
+    return flat

@@ -3,8 +3,7 @@ multi-scale pyramids.
 
 Pixels live in [0, 1] as float64 regardless of on-disk bit depth, so all
 downstream math is independent of storage format. Binary PGM (P5, 8-bit)
-is the canonical bit-exact interchange format; PNG loading is optional
-and requires Pillow.
+is the one image file format, and it round-trips bit for bit.
 
 Dense SIFT and HoG share one kernel (Lowe 2004; Dalal & Triggs 2005): soft
 orientation planes scattered through one flat pixel*bins + bin index
@@ -288,28 +287,9 @@ def parse_pgm(data: bytes) -> GrayImage:
     return GrayImage(px.astype(np.float64) / 255.0)
 
 
-def save_pgm(img: GrayImage, path: str | Path) -> None:
-    """Write a binary (P5) 8-bit PGM file; pixels are rounded to 1/255 steps."""
-    Path(path).write_bytes(pgm_bytes(img))
-
-
 def pgm_bytes(img: GrayImage) -> bytes:
+    """A binary (P5) 8-bit PGM file; pixels are rounded to 1/255 steps."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     raster = np.floor(img.pixels * 255.0 + 0.5).astype(np.uint8)
     return header + raster.tobytes()
 
-
-def load_image(path: str | Path) -> GrayImage:
-    """Load PGM directly or any Pillow-readable format (converted to grayscale)."""
-    path = Path(path)
-    if path.suffix.lower() == ".pgm":
-        return load_pgm(path)
-    try:
-        from PIL import Image
-    except ImportError as e:
-        raise DataError(
-            f"loading {path.suffix} images requires Pillow; only .pgm is built in"
-        ) from e
-    with Image.open(path) as im:
-        arr = np.asarray(im.convert("L"), dtype=np.float64) / 255.0
-    return GrayImage(arr)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .encoders import EncodedVector
+from .encoders import Provenance
 from .errors import DataError
 
 
@@ -26,7 +25,7 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     lambda_: float
-    trained_on: str  # encoder fingerprint this model is valid for
+    trained_on: str  # Provenance.fingerprint of the signatures it was trained on
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -39,35 +38,36 @@ class LinearModel:
         object.__setattr__(self, "weights", w)
 
 
-def _check_fingerprint(model_fp: str, vec: EncodedVector) -> None:
-    if vec.fingerprint != model_fp:
+def check_trained_on(model: LinearModel, provenance: Provenance) -> None:
+    """Raise DataError unless ``model`` was trained on signatures of ``provenance``."""
+    if model.trained_on != provenance.fingerprint or model.weights.shape != (provenance.length,):
         raise DataError(
-            f"vector fingerprint {vec.fingerprint!r} does not match model {model_fp!r}"
+            f"classifier trained on {model.trained_on!r} ({model.weights.shape[0]} weights) cannot "
+            f"score {provenance.fingerprint!r} signatures (length {provenance.length})"
         )
 
 
 def train_svm(
-    data: Sequence[tuple[EncodedVector, int]],
+    x: np.ndarray,
+    labels,
+    trained_on: str,
     lambda_: float = 1e-5,
     epochs: int = 50,
     seed: int = 0,
 ) -> LinearModel:
     """Averaged SGD on the regularized hinge loss.
 
-    ``data`` pairs encoded vectors with labels in {-1, +1}; all vectors must
-    share one encoder fingerprint and both labels must be present.
+    ``x`` holds N signatures as rows, ``labels`` their N labels in {-1, +1} (both
+    present), and ``trained_on`` the fingerprint of their Provenance.
     """
     if lambda_ <= 0 or epochs < 1:
         raise DataError("lambda must be positive and epochs >= 1")
-    if not data:
-        raise DataError("empty training set")
-    fp = data[0][0].fingerprint
-    labels = np.array([y for _, y in data], dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0 or labels.shape != x.shape[:1]:
+        raise DataError(f"need N > 0 signatures and N labels, got {x.shape} and {labels.shape}")
     if set(np.unique(labels)) != {-1.0, 1.0}:
         raise DataError("training data must contain both labels, in {-1, +1}")
-    for vec, _ in data:
-        _check_fingerprint(fp, vec)
-    x = np.stack([vec.values for vec, _ in data])
     n, dim = x.shape
 
     rng = np.random.default_rng(seed)
@@ -91,26 +91,25 @@ def train_svm(
             if last:
                 w_avg += w
                 b_avg += b
-    return LinearModel(weights=w_avg / n, bias=b_avg / n, lambda_=lambda_, trained_on=fp)
+    return LinearModel(weights=w_avg / n, bias=b_avg / n, lambda_=lambda_, trained_on=trained_on)
 
 
-def score(model: LinearModel, x: EncodedVector) -> float:
-    """Raw margin w.x + b; positive means 'person'."""
-    _check_fingerprint(model.trained_on, x)
-    if x.values.shape != model.weights.shape:
+def score(model: LinearModel, x: np.ndarray) -> float:
+    """Raw margin w.x + b of one signature; positive means 'person'."""
+    if x.shape != model.weights.shape:
         raise DataError(
-            f"vector length {x.values.shape[0]} does not match model {model.weights.shape[0]}"
+            f"signature of shape {x.shape} does not match model length {model.weights.shape[0]}"
         )
-    return float(model.weights @ x.values + model.bias)
+    return float(model.weights @ x + model.bias)
 
 
-def hinge_objective(model: LinearModel, data: Sequence[tuple[EncodedVector, int]]) -> float:
-    """Regularized mean hinge loss of ``model`` on ``data``."""
+def hinge_objective(model: LinearModel, x: np.ndarray, labels) -> float:
+    """Regularized mean hinge loss of ``model`` on the rows of ``x``."""
     total = 0.0
-    for vec, y in data:
-        total += max(0.0, 1.0 - y * score(model, vec))
+    for row, y in zip(x, labels):
+        total += max(0.0, 1.0 - y * score(model, row))
     reg = 0.5 * model.lambda_ * float(model.weights @ model.weights)
-    return reg + total / len(data)
+    return reg + total / len(labels)
 
 
 def weights_to_csv(model: LinearModel) -> str:

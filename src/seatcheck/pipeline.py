@@ -23,14 +23,7 @@ import numpy as np
 from .codebooks import train_gmm, train_kmeans
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, DescriptorSet, extract_dense
 from .dpm_face import PartMixtureModel, build_synthetic_face_model, detect_occupancy
-from .encoders import (
-    ENCODER_KINDS,
-    EncodedVector,
-    check_quantizer_kind,
-    encode_bow,
-    encode_fv,
-    encode_vlad,
-)
+from .encoders import ENCODER_KINDS, Provenance, encode_bow, encode_fv, encode_vlad, l2_or_zero
 from .errors import DataError, SeatcheckError, StageError
 from .eval_metrics import (
     ScoredSample,
@@ -107,26 +100,12 @@ def describe(image: GrayImage, geometry, pca: PcaModel | None = None, source_id:
     return ds if pca is None else project_set(pca, ds)
 
 
-def _compress_vector(final_pca: PcaModel, vec: EncodedVector) -> EncodedVector:
-    """Re-project a signature with the final PCA and L2-normalize it."""
-    proj = project(final_pca, vec.values)
-    norm = np.linalg.norm(proj)
-    return EncodedVector(
-        values=proj / norm if norm != 0.0 else proj,
-        encoder_kind=vec.encoder_kind,
-        K=vec.K,
-        d=vec.d,
-        normalized=True,
-        compressed_dim=final_pca.d_out,
-    )
-
-
-def signature(ds: DescriptorSet, quantizer, encoder_kind: str, final_pca=None) -> EncodedVector:
-    """Encode one descriptor set, then apply the final PCA when given."""
-    check_quantizer_kind(encoder_kind, quantizer)
+def signature(ds: DescriptorSet, quantizer, encoder_kind: str, final_pca=None) -> np.ndarray:
+    """Encode one descriptor set with a ``quantizer`` that suits ``encoder_kind``,
+    then re-project it with ``final_pca`` and L2-normalize it when given."""
     encode = {"bow": encode_bow, "vlad": encode_vlad, "fisher": encode_fv}[encoder_kind]
     vec = encode(ds, quantizer)
-    return vec if final_pca is None else _compress_vector(final_pca, vec)
+    return vec if final_pca is None else l2_or_zero(project(final_pca, vec))
 
 
 def pool_descriptors(sets: list[DescriptorSet], cap: int | None = None, seed: int = 0) -> np.ndarray:
@@ -149,14 +128,17 @@ def pool_descriptors(sets: list[DescriptorSet], cap: int | None = None, seed: in
     return pool
 
 
-def evaluate(classifier: LinearModel, vectors, labels, ids, yield_grid=DEFAULT_YIELD_GRID):
-    """Score signatures against their labels.
+def evaluate(classifier: LinearModel, x: np.ndarray, labels, ids, yield_grid=DEFAULT_YIELD_GRID):
+    """Score the rows of the signature matrix ``x`` against their labels.
+
+    Rows are scored one at a time, as ``score_image`` scores an image, so the
+    two give the same bits; a batched x @ w may round differently.
 
     Returns (samples, accuracy, ROC curve, AUC, accuracy-vs-yield curve).
     """
     samples = tuple(
         ScoredSample(id=i, score=score(classifier, v), label=y)
-        for v, y, i in zip(vectors, labels, ids)
+        for v, y, i in zip(x, labels, ids)
     )
     roc, auc = roc_curve(samples)
     return samples, accuracy(samples), roc, auc, accuracy_vs_yield(samples, list(yield_grid))
@@ -223,25 +205,25 @@ def _train_vocab(train_sets, config):
 
 
 @_stage("encode")
-def _encode_all(sets, quantizer, config, final_pca=None) -> list[EncodedVector]:
-    return [signature(d, quantizer, config.encoder, final_pca) for d in sets]
+def _encode_all(sets, quantizer, config, final_pca=None) -> np.ndarray:
+    return np.stack([signature(d, quantizer, config.encoder, final_pca) for d in sets])
 
 
 @_stage("final-pca")
-def _compress(train_enc, config):
+def _compress(train_x, config):
+    """Fit the final PCA on the training signatures, then compress each row
+    as ``signature`` compresses one image."""
     if config.final_pca is None:
-        return None, train_enc
-    pca = fit_pca(np.stack([v.values for v in train_enc]), config.final_pca)
-    return pca, [_compress_vector(pca, v) for v in train_enc]
+        return None, train_x
+    pca = fit_pca(train_x, config.final_pca)
+    return pca, np.stack([l2_or_zero(project(pca, v)) for v in train_x])
 
 
 @_stage("svm")
-def _train_classifier(train_enc, train_labels, config):
+def _train_classifier(train_x, train_labels, provenance, config):
     return train_svm(
-        list(zip(train_enc, train_labels)),
-        lambda_=config.lambda_,
-        epochs=config.epochs,
-        seed=config.svm_seed,
+        train_x, train_labels, provenance.fingerprint,
+        lambda_=config.lambda_, epochs=config.epochs, seed=config.svm_seed,
     )
 
 
@@ -270,14 +252,17 @@ def run_pipeline(
 
     pca, train_sets = _fit_project_pca(_extract_all(train_images, config), config)
     quantizer = _train_vocab(train_sets, config)
-    final_pca, train_enc = _compress(_encode_all(train_sets, quantizer, config), config)
-    classifier = _train_classifier(train_enc, [im.target for im in train_images], config)
+    final_pca, train_x = _compress(_encode_all(train_sets, quantizer, config), config)
+    provenance = Provenance(
+        config.encoder, quantizer.K, quantizer.d, None if final_pca is None else final_pca.d_out
+    )
+    classifier = _train_classifier(train_x, [im.target for im in train_images], provenance, config)
     # Test images take the per-image path score_image takes with the saved model.
-    test_enc = _encode_all(_extract_all(test_images, config, pca), quantizer, config, final_pca)
+    test_x = _encode_all(_extract_all(test_images, config, pca), quantizer, config, final_pca)
 
     labels, ids = [im.target for im in test_images], [im.image_id for im in test_images]
     try:
-        samples, acc, roc, auc, yc = evaluate(classifier, test_enc, labels, ids, config.yield_grid)
+        samples, acc, roc, auc, yc = evaluate(classifier, test_x, labels, ids, config.yield_grid)
     except SeatcheckError as e:
         raise StageError("evaluate", e) from e
 

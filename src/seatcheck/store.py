@@ -25,10 +25,10 @@ import numpy as np
 from .codebooks import GmmModel, KmeansCodebook
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, DescriptorSet
 from .dpm_face import Edge, PartMixtureModel, PartTree
-from .encoders import EncodedVector, check_quantizer_kind, native_length
+from .encoders import Provenance, check_quantizer_kind
 from .errors import DataError
 from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
-from .linear_classifier import LinearModel
+from .linear_classifier import LinearModel, check_trained_on
 from .pca_reduce import PcaModel
 
 MODEL_FORMAT = "seatcheck-model"
@@ -86,6 +86,7 @@ class PipelineModel:
     scale_factor: float = DEFAULT_SCALE_FACTOR
 
     def __post_init__(self):
+        native = Provenance(self.encoder_kind, self.k, self.d)  # rejects an unknown kind
         check_quantizer_kind(self.encoder_kind, self.quantizer)
         if not all(v >= 1 for v in (self.patch, self.stride, self.levels)) or not (
             0.0 < self.scale_factor < 1.0
@@ -95,14 +96,10 @@ class PipelineModel:
             raise DataError("quantizer shape does not match declared (k, d)")
         if self.pca is not None and self.pca.d_out != self.d:
             raise DataError(f"PCA output dim {self.pca.d_out} does not match d={self.d}")
-        native = native_length(self.encoder_kind, self.k, self.d)
-        expected = self.final_pca.d_out if self.final_pca is not None else native
-        if self.final_pca is not None and self.final_pca.d_in != native:
+        if self.final_pca is not None and self.final_pca.d_in != native.length:
             raise DataError("final PCA input dim does not match encoded length")
-        if self.classifier.weights.shape[0] != expected:
-            raise DataError(
-                f"classifier expects {self.classifier.weights.shape[0]} dims, encoder yields {expected}"
-            )
+        compressed = None if self.final_pca is None else self.final_pca.d_out
+        check_trained_on(self.classifier, Provenance(self.encoder_kind, self.k, self.d, compressed))
 
 
 # --- JSON codecs --------------------------------------------------------------
@@ -398,74 +395,77 @@ def load_descriptor_sets(path: str | Path) -> list[DescriptorSet]:
 # --- encoded corpus -------------------------------------------------------------
 
 
+def _check_corpus(x: np.ndarray, provenance: Provenance, labels, ids) -> None:
+    """What an encoded corpus satisfies on its way to disk and back."""
+    if x.shape != (len(ids), provenance.length):
+        raise DataError(
+            f"corpus of shape {x.shape} with {len(ids)} ids does not match its provenance "
+            f"{provenance.fingerprint!r} (length {provenance.length})"
+        )
+    if labels is not None and len(labels) != len(ids):
+        raise DataError("corpus ids/labels do not match its count")
+    if not np.isfinite(x).all():
+        raise DataError("corpus values must be finite")
+
+
 def save_corpus(
-    vectors: list[EncodedVector],
+    x: np.ndarray,
+    provenance: Provenance,
     labels: list[int] | None,
     ids: list[str],
     path: str | Path,
 ) -> None:
-    """Dense matrix file: JSON header (encoder kind, K, d, count, ids, labels)
-    followed by row-major float64 values."""
-    if not vectors:
+    """Dense matrix file: JSON header (encoder kind, K, d, final PCA dim,
+    count, length, ids, labels) followed by the row-major float64 values of
+    the (N, D) signature matrix ``x``."""
+    if len(ids) == 0:
         raise DataError("refusing to write an empty corpus")
-    first = vectors[0]
-    if any(v.fingerprint != first.fingerprint or v.normalized != first.normalized for v in vectors):
-        raise DataError("all corpus vectors must share encoder provenance")
-    if len(ids) != len(vectors) or (labels is not None and len(labels) != len(vectors)):
-        raise DataError("ids/labels length mismatch")
+    x = np.asarray(x, dtype=np.float64)
+    _check_corpus(x, provenance, labels, ids)
     header = {
-        "encoder_kind": first.encoder_kind,
-        "k": first.K,
-        "d": first.d,
-        "count": len(vectors),
-        "length": int(first.values.shape[0]),
-        "normalized": first.normalized,
-        "compressed_dim": first.compressed_dim,
+        "encoder_kind": provenance.kind,
+        "k": provenance.K,
+        "d": provenance.d,
+        "compressed_dim": provenance.compressed_dim,
+        "count": len(x),
+        "length": provenance.length,
         "ids": list(ids),
         "labels": list(labels) if labels is not None else None,
     }
-    mat = np.stack([v.values for v in vectors])
     atomic_write_bytes(
         path,
         CORPUS_MAGIC
         + (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-        + np.ascontiguousarray(mat, dtype="<f8").tobytes(),
+        + np.ascontiguousarray(x, dtype="<f8").tobytes(),
     )
 
 
-def load_corpus(path: str | Path) -> tuple[list[EncodedVector], list[int] | None, list[str]]:
+def load_corpus(path: str | Path) -> tuple[np.ndarray, Provenance, list[int] | None, list[str]]:
+    """(read-only (N, D) signature matrix, its provenance, labels or None, ids).
+    Headers from earlier releases also hold a ``normalized`` key, ignored here."""
     with _decoding("encoded corpus"):
         data = Path(path).read_bytes()
         if not data.startswith(CORPUS_MAGIC):
             raise DataError("not a seatcheck encoded corpus")
         nl = data.index(b"\n", len(CORPUS_MAGIC))
         header = json.loads(data[len(CORPUS_MAGIC) : nl])
+        provenance = Provenance(
+            header["encoder_kind"], header["k"], header["d"], header["compressed_dim"]
+        )
         count, length = header["count"], header["length"]
-        mat = np.frombuffer(data[nl + 1 :], dtype="<f8")
-        if mat.size != count * length:
+        x = np.frombuffer(data[nl + 1 :], dtype="<f8")
+        if x.size != count * length:
             raise DataError("corpus truncated")
-        mat = mat.reshape(count, length)
-        vectors = [
-            EncodedVector(
-                values=mat[i].copy(),
-                encoder_kind=header["encoder_kind"],
-                K=header["k"],
-                d=header["d"],
-                normalized=header["normalized"],
-                compressed_dim=header["compressed_dim"],
-            )
-            for i in range(count)
-        ]
+        x = x.reshape(count, length)
         labels, ids = header["labels"], header["ids"]
-        if len(ids) != count or (labels is not None and len(labels) != count):
-            raise DataError("corpus ids/labels do not match its count")
-        return vectors, labels, ids
+        _check_corpus(x, provenance, labels, ids)
+        return x, provenance, labels, ids
 
 
-def corpus_to_csv(vectors: list[EncodedVector], labels: list[int] | None, ids: list[str]) -> str:
+def corpus_to_csv(x: np.ndarray, labels: list[int] | None, ids: list[str]) -> str:
     """Inspection export: id, label (blank if unknown), then the values."""
     lines = []
-    for i, v in enumerate(vectors):
+    for i, row in enumerate(x):
         label = "" if labels is None else str(labels[i])
-        lines.append(",".join([ids[i], label] + [repr(float(x)) for x in v.values]))
+        lines.append(",".join([ids[i], label] + [repr(float(v)) for v in row]))
     return "\n".join(lines) + "\n"

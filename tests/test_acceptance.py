@@ -66,7 +66,7 @@ def test_criterion_1_fv_gradient_oracle():
         comp = rng.integers(0, K, size=T)
         x = gmm.means[comp] + rng.normal(size=(T, d)) * np.sqrt(gmm.variances[comp])
         ds = make_set(x)
-        got = encode_fv(ds, gmm, normalize=False).values
+        got = encode_fv(ds, gmm, normalize=False)
 
         def total_loglik(means):
             total = 0.0
@@ -285,14 +285,14 @@ def test_criterion_4_encoder_contracts():
             variances=rng.uniform(0.5, 2.0, size=(K, d)),
         )
         fv, vlad, bow = encode_fv(ds, gmm), encode_vlad(ds, cb), encode_bow(ds, cb)
-        ok &= fv.values.shape == (K * d,) and vlad.values.shape == (K * d,)
-        ok &= bow.values.shape == (21 * K,)
+        ok &= fv.shape == (K * d,) and vlad.shape == (K * d,)
+        ok &= bow.shape == (21 * K,)
         for enc in (fv, vlad, bow):
-            norm = np.linalg.norm(enc.values)
+            norm = np.linalg.norm(enc)
             ok &= norm == 0.0 or abs(norm - 1.0) <= 1e-9
-        ok &= np.array_equal(encode_fv(ds_p, gmm).values, fv.values)
-        ok &= np.array_equal(encode_vlad(ds_p, cb).values, vlad.values)
-        ok &= np.array_equal(encode_bow(ds_p, cb).values, bow.values)
+        ok &= np.array_equal(encode_fv(ds_p, gmm), fv)
+        ok &= np.array_equal(encode_vlad(ds_p, cb), vlad)
+        ok &= np.array_equal(encode_bow(ds_p, cb), bow)
         details.append(f"K={K}")
     report(
         4,

@@ -100,6 +100,33 @@ def test_bow_workflow_with_codebook(dataset_dir, tmp_path):
     ]) == 2
 
 
+def test_evaluate_rejects_a_classifier_trained_on_another_encoder(dataset_dir, tmp_path, capsys):
+    # With PCA to d=21 and K=4, BoW (21*K) and VLAD (K*d) signatures have the
+    # same length, so only their provenance tells them apart.
+    manifest = str(dataset_dir / "manifest.csv")
+    desc, pca, cb = (str(tmp_path / n) for n in ("desc.bin", "pca.json", "cb.json"))
+    assert main(["extract", "--manifest", manifest, "--out", desc]) == 0
+    assert main(["train-pca", "--descriptors", desc, "--dim", "21", "--out", pca]) == 0
+    assert main(["train-codebook", "--descriptors", desc, "--pca", pca, "--k", "4",
+                 "--sample", "2000", "--out", cb]) == 0
+    for encoder in ("bow", "vlad"):
+        assert main(["encode", "--descriptors", desc, "--pca", pca, "--encoder", encoder,
+                     "--vocab", cb, "--manifest", manifest,
+                     "--out", str(tmp_path / f"{encoder}.bin")]) == 0
+    svm = str(tmp_path / "svm.json")
+    assert main(["train-svm", "--corpus", str(tmp_path / "bow.bin"), "--epochs", "2",
+                 "--out", svm]) == 0
+    assert main(["evaluate", "--corpus", str(tmp_path / "bow.bin"), "--classifier", svm,
+                 "--out-dir", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    rc = main(["evaluate", "--corpus", str(tmp_path / "vlad.bin"), "--classifier", svm,
+               "--out-dir", str(tmp_path / "eval")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bow:K=4:d=21" in err and "vlad:K=4:d=21" in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_dpm_workflow(dataset_dir, tmp_path, capsys):
     manifest = str(dataset_dir / "manifest.csv")
     dpm = str(tmp_path / "dpm.json")

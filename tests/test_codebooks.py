@@ -411,7 +411,6 @@ def test_log_densities_match_naive_difference_oracle(pca64_image_batch):
 
 def test_lloyd_matches_old_loop_bit_for_bit(pca64_pool):
     pool, _ = pca64_pool
-    assert pool.shape[0] * 32 * 64 > codebooks.NAIVE_LIMIT  # expanded form, in row blocks
     cb = train_kmeans(pool, K=32, seed=3)
     centroids, history, _, _ = old_lloyd(pool, K=32, seed=3)
     assert np.array_equal(cb.centroids, centroids)
@@ -453,7 +452,8 @@ def test_naive_branch_and_its_tie_break_match_old_code():
     cb = train_kmeans(data, K=5, seed=4)
     old_centroids, history, _, _ = old_lloyd(data, K=5, seed=4)
     assert np.array_equal(cb.centroids, old_centroids)
-    assert cb.sse_history == history
+    # The expanded form sums the SSE's distances in another order.
+    np.testing.assert_allclose(cb.sse_history, history, rtol=1e-12, atol=0)
 
 
 def test_reseed_step_matches_full_argmin_with_ties():
@@ -485,7 +485,7 @@ def test_empty_cluster_reseed_matches_old_loop():
     near = locations[0].copy()
     near[0] += 1e-9
     data = np.vstack([np.repeat(locations, 300, axis=0), near])
-    assert data.shape[0] * 16 * 64 > codebooks.NAIVE_LIMIT
+    assert data.shape[0] * 16 * 64 > 1 << 22  # the old code's expanded form
     cb = train_kmeans(data, K=16, seed=1, max_iter=2)
     centroids, history, reseeds, ties = old_lloyd(data, K=16, seed=1, max_iter=2)
     assert reseeds > 0 and ties > 0

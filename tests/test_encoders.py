@@ -6,7 +6,7 @@ import pytest
 from seatcheck.codebooks import GmmModel, KmeansCodebook
 from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.encoders import (
-    EncodedVector,
+    Provenance,
     _canonical_order,
     _canonical_vectors,
     encode_bow,
@@ -15,6 +15,7 @@ from seatcheck.encoders import (
     power_l2_normalize,
 )
 from seatcheck.errors import DataError, NumericalError
+from seatcheck.store import save_corpus
 
 
 def make_set(vectors, x=None, y=None):
@@ -116,7 +117,7 @@ def test_bow_single_word_top_left_cell():
     cb = KmeansCodebook(centroids=np.array([[10.0], [20.0], [30.0], [3.0]]))
     ds = make_set([[3.1], [2.9], [3.0]], x=[0.1, 0.05, 0.2], y=[0.1, 0.2, 0.05])
     enc = encode_bow(ds, cb)
-    h = enc.values.reshape(21, 4)
+    h = enc.reshape(21, 4)
     e3 = np.zeros(4)
     e3[3] = 1.0
     # populated regions: whole image, 2x2 cell (0,0), 4x4 cell (0,0)
@@ -125,7 +126,7 @@ def test_bow_single_word_top_left_cell():
     for r in range(21):
         expected = e3 / norm if r in filled else np.zeros(4)
         np.testing.assert_allclose(h[r], expected, atol=1e-12)
-    assert abs(np.linalg.norm(enc.values) - 1.0) <= 1e-9
+    assert abs(np.linalg.norm(enc) - 1.0) <= 1e-9
 
 
 def test_bow_length_21k():
@@ -133,7 +134,7 @@ def test_bow_length_21k():
     cb = KmeansCodebook(centroids=rng.normal(size=(1024, 4)))
     ds = make_set(rng.normal(size=(10, 4)), x=rng.uniform(size=10), y=rng.uniform(size=10))
     enc = encode_bow(ds, cb)
-    assert enc.values.shape == (21504,)
+    assert enc.shape == (21504,)
 
 
 def test_bow_matches_brute_force_oracle():
@@ -143,14 +144,14 @@ def test_bow_matches_brute_force_oracle():
         rng.normal(size=(50, 3)), x=rng.uniform(size=50), y=rng.uniform(size=50)
     )
     enc = encode_bow(ds, cb)
-    np.testing.assert_allclose(enc.values, bow_oracle(ds, cb.centroids), atol=1e-12)
+    np.testing.assert_allclose(enc, bow_oracle(ds, cb.centroids), atol=1e-12)
 
 
 def test_bow_boundary_coordinates_bin_high():
     cb = KmeansCodebook(centroids=np.array([[0.0]]))
     ds = make_set([[0.0], [0.0]], x=[0.5, 1.0], y=[0.5, 1.0])
     enc = encode_bow(ds, cb, normalize=False)
-    h = enc.values.reshape(21, 1)
+    h = enc.reshape(21, 1)
     assert h[0, 0] == 1.0  # whole image, L1-normalized
     assert h[1 + 3, 0] == 1.0  # 2x2 cell (1,1) holds both
     assert h[5 + 10, 0] == 1.0  # 4x4 cell (2,2) holds x=y=0.5
@@ -164,15 +165,14 @@ def test_vlad_zero_residual_single_descriptor():
     cb = KmeansCodebook(centroids=np.array([[1.0, 2.0], [5.0, 5.0]]))
     ds = make_set([[1.0, 2.0]])
     enc = encode_vlad(ds, cb)
-    assert np.all(enc.values == 0.0)
-    assert enc.normalized
+    assert np.all(enc == 0.0)
 
 
 def test_vlad_hand_accumulation():
     cb = KmeansCodebook(centroids=np.array([[0.0, 0.0], [10.0, 0.0]]))
     ds = make_set([[1.0, 0.0], [3.0, 0.0]])
     enc = encode_vlad(ds, cb, normalize=False)
-    np.testing.assert_array_equal(enc.values, [4.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(enc, [4.0, 0.0, 0.0, 0.0])
 
 
 def test_vlad_matches_brute_force_oracle():
@@ -180,7 +180,7 @@ def test_vlad_matches_brute_force_oracle():
     cb = KmeansCodebook(centroids=rng.normal(size=(5, 4)))
     ds = make_set(rng.normal(size=(60, 4)))
     enc = encode_vlad(ds, cb, normalize=False)
-    np.testing.assert_allclose(enc.values, vlad_oracle(ds, cb.centroids), atol=1e-10)
+    np.testing.assert_allclose(enc, vlad_oracle(ds, cb.centroids), atol=1e-10)
 
 
 # --- Fisher vector ----------------------------------------------------------
@@ -189,13 +189,13 @@ def test_vlad_matches_brute_force_oracle():
 def test_fv_symmetric_cancellation():
     gmm = GmmModel(weights=[1.0], means=[[0.0]], variances=[[1.0]])
     enc = encode_fv(make_set([[1.0], [-1.0]]), gmm, normalize=False)
-    np.testing.assert_allclose(enc.values, [0.0], atol=1e-15)
+    np.testing.assert_allclose(enc, [0.0], atol=1e-15)
 
 
 def test_fv_hand_computed_value():
     gmm = GmmModel(weights=[1.0], means=[[1.0]], variances=[[1.0]])
     enc = encode_fv(make_set([[2.0], [4.0]]), gmm, normalize=False)
-    np.testing.assert_allclose(enc.values, [2.0], atol=1e-12)
+    np.testing.assert_allclose(enc, [2.0], atol=1e-12)
 
 
 def test_fv_matches_finite_difference_oracle():
@@ -207,7 +207,7 @@ def test_fv_matches_finite_difference_oracle():
     ds = make_set(samples)
     enc = encode_fv(ds, gmm, normalize=False)
     oracle = fv_fd_oracle(ds, gmm)
-    rel = np.abs(enc.values - oracle).max() / np.abs(oracle).max()
+    rel = np.abs(enc - oracle).max() / np.abs(oracle).max()
     assert rel < 1e-5
 
 
@@ -223,7 +223,7 @@ def test_fv_vlad_limit():
     fv = encode_fv(ds, gmm, normalize=False)
     vlad = encode_vlad(ds, cb, normalize=False)
     # g_i = sqrt(K)/T * v_i here
-    np.testing.assert_allclose(fv.values, math.sqrt(3) / 30 * vlad.values, atol=1e-12)
+    np.testing.assert_allclose(fv, math.sqrt(3) / 30 * vlad, atol=1e-12)
 
 
 def test_duplicating_descriptors():
@@ -236,16 +236,16 @@ def test_duplicating_descriptors():
     ds = make_set(vecs, x, y)
     ds2 = make_set(np.concatenate([vecs, vecs]), np.concatenate([x, x]), np.concatenate([y, y]))
 
-    fv1 = encode_fv(ds, gmm, normalize=False).values
-    fv2 = encode_fv(ds2, gmm, normalize=False).values
+    fv1 = encode_fv(ds, gmm, normalize=False)
+    fv2 = encode_fv(ds2, gmm, normalize=False)
     np.testing.assert_allclose(fv2, fv1, rtol=1e-12)  # 1/T cancels
 
-    v1 = encode_vlad(ds, cb, normalize=False).values
-    v2 = encode_vlad(ds2, cb, normalize=False).values
+    v1 = encode_vlad(ds, cb, normalize=False)
+    v2 = encode_vlad(ds2, cb, normalize=False)
     np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
 
-    b1 = encode_bow(ds, cb).values
-    b2 = encode_bow(ds2, cb).values
+    b1 = encode_bow(ds, cb)
+    b2 = encode_bow(ds2, cb)
     np.testing.assert_allclose(b2, b1, atol=1e-15)
 
 
@@ -261,9 +261,9 @@ def test_permutation_invariance_exact():
     perm = rng.permutation(40)
     ds = make_set(vecs, x, y)
     ds_p = make_set(vecs[perm], x[perm], y[perm])
-    assert np.array_equal(encode_fv(ds, gmm).values, encode_fv(ds_p, gmm).values)
-    assert np.array_equal(encode_vlad(ds, cb).values, encode_vlad(ds_p, cb).values)
-    assert np.array_equal(encode_bow(ds, cb).values, encode_bow(ds_p, cb).values)
+    assert np.array_equal(encode_fv(ds, gmm), encode_fv(ds_p, gmm))
+    assert np.array_equal(encode_vlad(ds, cb), encode_vlad(ds_p, cb))
+    assert np.array_equal(encode_bow(ds, cb), encode_bow(ds_p, cb))
 
 
 def grid_positions(levels=3, nx=12, ny=9):
@@ -288,8 +288,8 @@ def permuted_encodings_match(x, y, lvl, rng):
     ds_p = DescriptorSet(vectors=vecs[perm], x_norm=x[perm], y_norm=y[perm], scale_level=lvl[perm])
     for encode, q in ((encode_fv, gmm), (encode_vlad, cb)):
         for normalize in (False, True):
-            a = encode(ds, q, normalize=normalize).values
-            b = encode(ds_p, q, normalize=normalize).values
+            a = encode(ds, q, normalize=normalize)
+            b = encode(ds_p, q, normalize=normalize)
             assert np.array_equal(a, b), (encode.__name__, normalize)
 
 
@@ -363,9 +363,9 @@ def test_dimensional_contracts_across_k_grid():
     for K in (8, 32):
         cb = KmeansCodebook(centroids=rng.normal(size=(K, d)))
         gmm = random_gmm(rng, K=K, d=d)
-        assert encode_bow(ds, cb).values.shape == (21 * K,)
-        assert encode_vlad(ds, cb).values.shape == (K * d,)
-        assert encode_fv(ds, gmm).values.shape == (K * d,)
+        assert encode_bow(ds, cb).shape == (21 * K,)
+        assert encode_vlad(ds, cb).shape == (K * d,)
+        assert encode_fv(ds, gmm).shape == (K * d,)
 
 
 def test_empty_set_and_dim_mismatch_errors():
@@ -385,25 +385,26 @@ def test_empty_set_and_dim_mismatch_errors():
             fn(make_set(rng.normal(size=(5, 7))), model)
 
 
-def test_encoded_vector_invariants():
+def test_provenance_invariants():
     with pytest.raises(DataError):
-        EncodedVector(values=np.zeros(5), encoder_kind="vlad", K=2, d=3, normalized=False)
-    with pytest.raises(DataError):
-        EncodedVector(values=np.full(6, 2.0), encoder_kind="vlad", K=2, d=3, normalized=True)
-    with pytest.raises(DataError):
-        EncodedVector(values=np.zeros(6), encoder_kind="blah", K=2, d=3, normalized=False)
-    # all-zero normalized vector allowed (degenerate empty-input guard)
-    EncodedVector(values=np.zeros(6), encoder_kind="vlad", K=2, d=3, normalized=True)
-    # compressed vectors carry their own length and fingerprint
-    c = EncodedVector(values=np.zeros(5), encoder_kind="fisher", K=2, d=3,
-                      normalized=False, compressed_dim=5)
-    assert c.fingerprint.endswith(":pca=5")
+        Provenance("blah", 2, 3)
+    assert Provenance("vlad", 2, 3).length == 6
+    assert Provenance("fisher", 2, 3).length == 6
+    assert Provenance("bow", 2, 3).length == 21 * 2
+    assert Provenance("fisher", 32, 64).fingerprint == "fisher:K=32:d=64"
+    # a final PCA sets the length and is recorded in the fingerprint
+    c = Provenance("fisher", 2, 3, compressed_dim=5)
+    assert c.length == 5
+    assert c.fingerprint == "fisher:K=2:d=3:pca=5"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("normalized", [False, True])
-def test_encoded_vector_rejects_non_finite_values(bad, normalized):
-    v = np.array([0.6, 0.8, 0.0, 0.0])
-    v[3] = bad
+def test_encoded_vector_rejects_non_finite_values(tmp_path, bad, normalized):
+    # A signature is checked where its corpus is written, whether or not it
+    # was normalized; nothing is left on disk.
+    v = np.array([[0.6, 0.8, 0.0, 0.0]] if normalized else [[3.0, 4.0, 0.0, 0.0]])
+    v[0, 3] = bad
     with pytest.raises(DataError, match="finite"):
-        EncodedVector(values=v, encoder_kind="fisher", K=2, d=2, normalized=normalized)
+        save_corpus(v, Provenance("fisher", 2, 2), [1], ["im0"], tmp_path / "corpus.bin")
+    assert not (tmp_path / "corpus.bin").exists()

@@ -16,11 +16,9 @@ from seatcheck.imagecore import (
     build_pyramid,
     compute_gradients,
     level_size,
-    load_image,
     load_pgm,
     parse_pgm,
     pgm_bytes,
-    save_pgm,
 )
 from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
@@ -293,26 +291,16 @@ def test_pgm_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     img = GrayImage(rng.integers(0, 256, size=(17, 23)).astype(np.float64) / 255.0)
     path = tmp_path / "img.pgm"
-    save_pgm(img, path)
+    path.write_bytes(pgm_bytes(img))
     back = load_pgm(path)
     assert np.array_equal(back.pixels, img.pixels)
     # Writing again reproduces the same bytes.
     assert pgm_bytes(back) == path.read_bytes()
 
 
-def test_png_loading_via_pillow(tmp_path):
-    PIL = pytest.importorskip("PIL.Image")
-    rng = np.random.default_rng(4)
-    raw = rng.integers(0, 256, size=(12, 9), dtype=np.uint8)
-    path = tmp_path / "img.png"
-    PIL.fromarray(raw, mode="L").save(path)
-    img = load_image(path)
-    assert np.array_equal(img.pixels, raw.astype(np.float64) / 255.0)
-
-
-def test_load_image_missing_path_raises_data_error(tmp_path):
+def test_load_pgm_missing_path_raises_data_error(tmp_path):
     with pytest.raises(DataError, match="nope.pgm"):
-        load_image(tmp_path / "nope.pgm")
+        load_pgm(tmp_path / "nope.pgm")
 
 
 def test_pgm_parser_handles_comments_and_rejects_garbage():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from seatcheck.codebooks import GmmModel, KmeansCodebook
 from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.dpm_face import Edge, PartMixtureModel, PartTree
-from seatcheck.encoders import EncodedVector, native_length
+from seatcheck.encoders import Provenance
 from seatcheck.errors import DataError
 from seatcheck.imagecore import load_pgm
 from seatcheck.linear_classifier import LinearModel
@@ -104,6 +104,10 @@ def test_model_validation_rejects_mismatches():
             encoder_kind="fisher", k=m.k, d=m.d, pca=m.pca, quantizer=m.quantizer,
             classifier=bad_clf,
         )
+    # the right length, trained on another encoder's signatures
+    vlad_clf = dataclasses.replace(m.classifier, trained_on=Provenance("vlad", m.k, m.d).fingerprint)
+    with pytest.raises(DataError, match="vlad:K=3:d=6"):
+        dataclasses.replace(m, classifier=vlad_clf)
 
 
 def test_model_file_rejects_garbage(tmp_path):
@@ -165,40 +169,69 @@ def test_descriptor_corpus_round_trip(tmp_path):
 
 def test_encoded_corpus_round_trip_and_csv(tmp_path):
     rng = np.random.default_rng(5)
-    vectors = []
-    for _ in range(4):
-        v = rng.normal(size=6)
-        v /= np.linalg.norm(v)
-        vectors.append(EncodedVector(values=v, encoder_kind="vlad", K=2, d=3, normalized=True))
+    x = rng.normal(size=(4, 6))
+    vlad = Provenance("vlad", 2, 3)
     ids = [f"im{i}" for i in range(4)]
     labels = [1, -1, 1, -1]
-    save_corpus(vectors, labels, ids, tmp_path / "corpus.bin")
-    back, blabels, bids = load_corpus(tmp_path / "corpus.bin")
+    save_corpus(x, vlad, labels, ids, tmp_path / "corpus.bin")
+    back, provenance, blabels, bids = load_corpus(tmp_path / "corpus.bin")
     assert blabels == labels and bids == ids
-    for a, b in zip(vectors, back):
-        assert np.array_equal(a.values, b.values)
-        assert b.fingerprint == a.fingerprint and b.normalized
+    assert provenance == vlad
+    assert np.array_equal(back, x)
 
-    csv_text = corpus_to_csv(vectors, labels, ids)
+    csv_text = corpus_to_csv(x, labels, ids)
     lines = csv_text.strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("im0,1,")
 
     with pytest.raises(DataError):
-        save_corpus([], None, [], tmp_path / "empty.bin")
-    mixed = vectors[:1] + [
-        EncodedVector(values=np.zeros(8), encoder_kind="vlad", K=2, d=4, normalized=False)
-    ]
+        save_corpus(x[:0], vlad, None, [], tmp_path / "empty.bin")
+    with pytest.raises(DataError, match="length 6"):
+        save_corpus(x[:, :5], vlad, None, ids, tmp_path / "short.bin")
     with pytest.raises(DataError):
-        save_corpus(mixed, None, ["a", "b"], tmp_path / "mixed.bin")
+        save_corpus(x, vlad, labels[:3], ids, tmp_path / "labels.bin")
+
+
+def _corpus_file(header: dict, x: np.ndarray) -> bytes:
+    return (
+        CORPUS_MAGIC
+        + (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+        + np.ascontiguousarray(x, dtype="<f8").tobytes()
+    )
+
+
+def test_corpus_in_the_earlier_byte_format_still_loads(tmp_path):
+    # Earlier releases wrote a "normalized" key into the header.
+    x = np.array([[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "count": 2, "length": 4,
+        "normalized": True, "compressed_dim": None, "ids": ["a", "b"], "labels": [1, -1],
+    }
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(_corpus_file(header, x))
+    back, provenance, labels, ids = load_corpus(path)
+    assert np.array_equal(back, x)
+    assert provenance.fingerprint == "fisher:K=2:d=2"
+    assert labels == [1, -1] and ids == ["a", "b"]
+
+
+def test_corpus_header_length_must_match_its_provenance(tmp_path):
+    # 3 x 4 values read as 2 x 6 fill the file exactly: only the provenance
+    # (fisher K=2 d=2, length 4) tells the header is wrong.
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "count": 2, "length": 6,
+        "compressed_dim": None, "ids": ["a", "b"], "labels": None,
+    }
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(_corpus_file(header, np.zeros((3, 4))))
+    with pytest.raises(DataError, match="provenance"):
+        load_corpus(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_corpus_with_non_finite_value_is_rejected(tmp_path, bad):
-    v = EncodedVector(values=np.array([0.6, 0.8, 0.0, 0.0]), encoder_kind="fisher", K=2, d=2,
-                      normalized=True)
     path = tmp_path / "corpus.bin"
-    save_corpus([v], [1], ["im0"], path)
+    save_corpus(np.array([[0.6, 0.8, 0.0, 0.0]]), Provenance("fisher", 2, 2), [1], ["im0"], path)
     data = bytearray(path.read_bytes())
     data[-8:] = np.array([bad], dtype="<f8").tobytes()  # the last float
     path.write_bytes(bytes(data))
@@ -237,11 +270,8 @@ def valid_files(tmp_path_factory):
         for t in (3, 0, 4)
     ]
     save_descriptor_sets(sets, d / "desc.bin")
-    vectors = [
-        EncodedVector(values=v / np.linalg.norm(v), encoder_kind="fisher", K=2, d=2, normalized=True)
-        for v in rng.normal(size=(3, 4))
-    ]
-    save_corpus(vectors, [1, -1, 1], ["a", "b", "c"], d / "corpus.bin")
+    x = rng.normal(size=(3, 4))
+    save_corpus(x, Provenance("fisher", 2, 2), [1, -1, 1], ["a", "b", "c"], d / "corpus.bin")
     save_model(small_model(rng, with_dpm=True), d / "model.json")
     return d
 
@@ -338,18 +368,24 @@ def _models_with_every_section():
     rng = np.random.default_rng(7)
     fisher = small_model(rng, with_dpm=True)
     final = fit_pca(rng.normal(size=(30, fisher.k * fisher.d)), 4)
+    compressed = Provenance("fisher", fisher.k, fisher.d, compressed_dim=4)
     fisher = dataclasses.replace(
         fisher,
         final_pca=final,
-        classifier=dataclasses.replace(fisher.classifier, weights=rng.normal(size=4)),
+        classifier=dataclasses.replace(
+            fisher.classifier, weights=rng.normal(size=4), trained_on=compressed.fingerprint
+        ),
     )
+    bow_provenance = Provenance("bow", fisher.k, fisher.d)
     bow = dataclasses.replace(
         fisher,
         encoder_kind="bow",
         quantizer=KmeansCodebook(centroids=rng.normal(size=(fisher.k, fisher.d))),
         final_pca=None,
         classifier=dataclasses.replace(
-            fisher.classifier, weights=rng.normal(size=native_length("bow", fisher.k, fisher.d))
+            fisher.classifier,
+            weights=rng.normal(size=bow_provenance.length),
+            trained_on=bow_provenance.fingerprint,
         ),
     )
     return {"fisher": fisher, "bow": bow}
