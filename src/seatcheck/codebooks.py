@@ -44,6 +44,14 @@ MIN_SAMPLES_PER_COMPONENT = 10
 BLOCK_ELEMS = 1 << 17
 MIN_BLOCK_ROWS = 64
 
+# Iteration caps of a GMM vocabulary: the Lloyd sweeps of the k-means
+# clustering that seeds EM, and the EM iterations. Chosen from a grid on
+# noisy synthetic corpora (BENCH_stopping.json): against 100 sweeps and 100
+# iterations they move the mean accuracy and AUC by less than a change of
+# seed does, and train the canonical GMM in a fifth of the time.
+GMM_INIT_SWEEPS = 10
+DEFAULT_EM_ITER = 20
+
 
 @dataclass(frozen=True)
 class KmeansCodebook:
@@ -340,15 +348,17 @@ def train_gmm(
     data: np.ndarray,
     K: int,
     seed: int,
-    max_iter: int = 100,
+    max_iter: int = DEFAULT_EM_ITER,
     tol: float = 1e-5,
     trace: list | None = None,
 ) -> GmmModel:
     """Maximum-likelihood EM, initialized from a k-means clustering.
 
-    Initial weights are cluster fractions and initial variances the
-    within-cluster variances. Iteration stops when the mean log-likelihood
-    improves by less than ``tol`` or after ``max_iter`` E-steps. When
+    The clustering runs at most GMM_INIT_SWEEPS Lloyd sweeps. Initial
+    weights are cluster fractions and initial variances the within-cluster
+    variances. Iteration stops when the mean log-likelihood improves by less
+    than ``tol`` or after ``max_iter`` E-steps (DEFAULT_EM_ITER; at that cap
+    EM has not converged, and the tolerance rarely stops it first). When
     ``trace`` is a list, the parameter state entering each E-step is
     appended to it as (weights, means, variances) copies.
     """
@@ -361,7 +371,7 @@ def train_gmm(
             f"need at least {MIN_SAMPLES_PER_COMPONENT * K} samples for K={K}, got {n}"
         )
 
-    cb = train_kmeans(data, K, seed=seed)
+    cb = train_kmeans(data, K, seed=seed, max_iter=GMM_INIT_SWEEPS)
     labels = assign_nearest(cb, data)
     counts = np.bincount(labels, minlength=K)
     weights = counts / n

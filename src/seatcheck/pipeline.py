@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebooks import train_gmm, train_kmeans
+from .codebooks import DEFAULT_EM_ITER, train_gmm, train_kmeans
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, DescriptorSet, extract_dense
 from .dpm_face import PartMixtureModel, build_synthetic_face_model, detect_occupancy
 from .encoders import ENCODER_KINDS, Provenance, encode_bow, encode_fv, encode_vlad, l2_or_zero
@@ -57,9 +57,9 @@ class PipelineConfig:
     epochs: int = 50
     train_fraction: float = 0.8
     vocab_sample: int = 60000  # descriptor subsample cap for vocabulary training
-    gmm_max_iter: int = 100
+    gmm_max_iter: int = DEFAULT_EM_ITER
     gmm_tol: float = 1e-5
-    kmeans_max_iter: int = 100
+    kmeans_max_iter: int = 100  # Lloyd cap of BoW/VLAD codebooks; a GMM's init uses GMM_INIT_SWEEPS
     split_seed: int = 1
     sample_seed: int = 2
     vocab_seed: int = 3
@@ -204,6 +204,19 @@ def _train_vocab(train_sets, config):
     return train_kmeans(pool, K=config.k, seed=config.vocab_seed, max_iter=config.kmeans_max_iter)
 
 
+def _vocab_stopping(quantizer, config) -> dict:
+    """Where vocabulary training stopped: the iterations run (EM E-steps or
+    Lloyd sweeps), the cap in force, and for a GMM the last change in mean
+    log-likelihood (None after a single E-step or for a codebook)."""
+    fisher = config.encoder == "fisher"
+    h = quantizer.loglik_history if fisher else quantizer.sse_history
+    return {
+        "vocab_iterations": len(h),
+        "vocab_iteration_cap": config.gmm_max_iter if fisher else config.kmeans_max_iter,
+        "vocab_final_dll": h[-1] - h[-2] if fisher and len(h) > 1 else None,
+    }
+
+
 @_stage("encode")
 def _encode_all(sets, quantizer, config, final_pca=None) -> np.ndarray:
     return np.stack([signature(d, quantizer, config.encoder, final_pca) for d in sets])
@@ -307,6 +320,7 @@ def run_pipeline(
                 "dpm_threshold": dpm_threshold,
                 # best_threshold picks the threshold that maximizes test accuracy.
                 "dpm_threshold_split": "test" if config.with_dpm else None,
+                **_vocab_stopping(quantizer, config),
             }
             atomic_write_text(
                 out_dir / "metrics.json", json.dumps(metrics, sort_keys=True, indent=2) + "\n"

@@ -365,6 +365,8 @@ def load_descriptor_sets(path: str | Path) -> list[DescriptorSet]:
         nl = data.index(b"\n", len(DESC_MAGIC))
         header = json.loads(data[len(DESC_MAGIC) : nl])
         dim = header["dim"]
+        if not header["images"]:
+            raise DataError("descriptor corpus holds no images")
         out = []
         offset = nl + 1
         width = 3 + dim
@@ -397,6 +399,8 @@ def load_descriptor_sets(path: str | Path) -> list[DescriptorSet]:
 
 def _check_corpus(x: np.ndarray, provenance: Provenance, labels, ids) -> None:
     """What an encoded corpus satisfies on its way to disk and back."""
+    if len(ids) == 0:
+        raise DataError("an encoded corpus holds at least one image")
     if x.shape != (len(ids), provenance.length):
         raise DataError(
             f"corpus of shape {x.shape} with {len(ids)} ids does not match its provenance "
@@ -404,6 +408,8 @@ def _check_corpus(x: np.ndarray, provenance: Provenance, labels, ids) -> None:
         )
     if labels is not None and len(labels) != len(ids):
         raise DataError("corpus ids/labels do not match its count")
+    if labels is not None and not all(type(v) is int and v in (-1, 1) for v in labels):
+        raise DataError("corpus labels must be the integers -1 and +1")
     if not np.isfinite(x).all():
         raise DataError("corpus values must be finite")
 
@@ -418,8 +424,6 @@ def save_corpus(
     """Dense matrix file: JSON header (encoder kind, K, d, final PCA dim,
     count, length, ids, labels) followed by the row-major float64 values of
     the (N, D) signature matrix ``x``."""
-    if len(ids) == 0:
-        raise DataError("refusing to write an empty corpus")
     x = np.asarray(x, dtype=np.float64)
     _check_corpus(x, provenance, labels, ids)
     header = {

@@ -217,6 +217,46 @@ def test_truncated_corpus_exits_2(dataset_dir, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_descriptor_corpus_without_images_exits_2(tmp_path, capsys):
+    desc = tmp_path / "empty.bin"
+    desc.write_bytes(store.DESC_MAGIC + b'{"dim": 5, "images": []}\n')
+    rc = main(["train-codebook", "--descriptors", str(desc), "--k", "2",
+               "--out", str(tmp_path / "cb.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no images" in err and "Traceback" not in err
+    assert not (tmp_path / "cb.json").exists()
+
+
+def test_corpus_with_non_numeric_labels_exits_2(tmp_path, capsys):
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "count": 2, "length": 4,
+        "compressed_dim": None, "ids": ["a", "b"], "labels": ["x", "y"],
+    }
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(
+        store.CORPUS_MAGIC + (json.dumps(header) + "\n").encode()
+        + np.array([[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], dtype="<f8").tobytes()
+    )
+    rc = main(["train-svm", "--corpus", str(corpus), "--out", str(tmp_path / "svm.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "labels" in err and "Traceback" not in err
+    assert not (tmp_path / "svm.json").exists()
+
+
+def test_em_cap_is_one_constant():
+    import inspect
+
+    from seatcheck.cli import build_parser
+    from seatcheck.codebooks import DEFAULT_EM_ITER, train_gmm
+
+    args = build_parser().parse_args(["train-gmm", "--descriptors", "d.bin", "--k", "2", "--out", "g.json"])
+    assert args.max_iter == DEFAULT_EM_ITER
+    assert PipelineConfig().gmm_max_iter == DEFAULT_EM_ITER
+    assert inspect.signature(train_gmm).parameters["max_iter"].default == DEFAULT_EM_ITER
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # descriptors carrying non-finite values surface as a numerical failure

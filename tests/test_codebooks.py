@@ -158,7 +158,7 @@ def old_logsumexp(a, axis):
 def old_em(data, K, seed, max_iter=100, tol=1e-5):
     """(weights, means, variances, loglik_history) of the old EM loop."""
     n, d = data.shape
-    centroids = old_lloyd(data, K, seed)[0]
+    centroids = old_lloyd(data, K, seed, max_iter=codebooks.GMM_INIT_SWEEPS)[0]
     labels = np.argmin(old_squared_distances(data, centroids), axis=1)
     weights = np.bincount(labels, minlength=K).astype(np.float64) / n
     means = centroids.copy()
@@ -426,6 +426,27 @@ def test_em_matches_old_iteration_within_1e_12(pca64_pool):
     assert np.abs(gmm.means - means).max() <= 1e-12 * np.abs(means).max()
     assert (np.abs(gmm.variances - variances) <= 1e-12 * variances).all()
     np.testing.assert_allclose(gmm.loglik_history, history, rtol=1e-12, atol=0)
+
+
+def test_gmm_init_runs_the_module_kmeans_at_its_sweep_cap(pca64_pool, monkeypatch):
+    pool, _ = pca64_pool
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return train_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(codebooks, "train_kmeans", recording)
+    codebooks.train_gmm(pool, K=8, seed=2, max_iter=2)
+    assert calls == [{"seed": 2, "max_iter": codebooks.GMM_INIT_SWEEPS}]
+
+
+def test_default_caps_fit_within_half_a_percent_of_100_by_100(pca64_pool, monkeypatch):
+    pool, _ = pca64_pool
+    capped = mean_log_likelihood(train_gmm(pool, K=32, seed=0), pool)
+    monkeypatch.setattr(codebooks, "GMM_INIT_SWEEPS", 100)
+    full = mean_log_likelihood(train_gmm(pool, K=32, seed=0, max_iter=100), pool)
+    assert abs(capped - full) <= 0.005 * abs(full)
 
 
 def test_distances_match_old_matmul_branch_at_k256(pca64_pool):

@@ -45,6 +45,23 @@ def test_fisher_pipeline_end_to_end(corpus, tmp_path):
     assert np.isfinite(s)
 
 
+@pytest.mark.parametrize("encoder, cap", [("fisher", 3), ("fisher", 40), ("bow", 2), ("bow", 100)])
+def test_metrics_say_where_the_vocabulary_stopped(corpus, tmp_path, encoder, cap):
+    config = replace(SMALL, encoder=encoder, gmm_max_iter=cap, kmeans_max_iter=cap)
+    result = run_pipeline(corpus, config, out_dir=tmp_path)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["vocab_iteration_cap"] == cap
+    if encoder == "fisher":
+        h = result.model.quantizer.loglik_history
+        assert metrics["vocab_iterations"] == len(h) <= cap
+        assert metrics["vocab_final_dll"] == h[-1] - h[-2]
+        # EM stops early only once the log-likelihood has stopped improving.
+        assert len(h) == cap or metrics["vocab_final_dll"] < config.gmm_tol
+    else:
+        assert metrics["vocab_iterations"] == len(result.model.quantizer.sse_history) <= cap
+        assert metrics["vocab_final_dll"] is None
+
+
 def test_bow_and_vlad_pipelines(corpus):
     for encoder in ("bow", "vlad"):
         result = run_pipeline(corpus, replace(SMALL, encoder=encoder))

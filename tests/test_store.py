@@ -239,6 +239,39 @@ def test_corpus_with_non_finite_value_is_rejected(tmp_path, bad):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("labels", [["x", "y"], [True, False], [1, 2], [1.0, -1.0], [1, None]])
+def test_corpus_labels_must_be_plus_or_minus_one(tmp_path, labels):
+    x = np.array([[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "count": 2, "length": 4,
+        "compressed_dim": None, "ids": ["a", "b"], "labels": labels,
+    }
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(_corpus_file(header, x))
+    with pytest.raises(DataError, match="labels"):
+        load_corpus(path)
+    with pytest.raises(DataError, match="labels"):
+        save_corpus(x, Provenance("fisher", 2, 2), labels, ["a", "b"], tmp_path / "out.bin")
+
+
+def test_empty_corpus_is_refused_on_load(tmp_path):
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "count": 0, "length": 4,
+        "compressed_dim": None, "ids": [], "labels": [],
+    }
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(_corpus_file(header, np.zeros((0, 4))))
+    with pytest.raises(DataError, match="at least one"):
+        load_corpus(path)
+
+
+def test_descriptor_corpus_without_images_is_refused(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(DESC_MAGIC + b'{"dim": 5, "images": []}\n')
+    with pytest.raises(DataError, match="no images"):
+        load_descriptor_sets(path)
+
+
 def test_version_1_model_file_is_rejected():
     doc = json.loads(model_to_json(small_model(np.random.default_rng(6))))
     doc["version"] = 1
