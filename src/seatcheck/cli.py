@@ -16,23 +16,25 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import store
-from .codebooks import gmm_debug_dump, train_gmm, train_kmeans
+from .codebooks import gmm_debug_dump
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, descriptors_to_csv
-from .encoders import ENCODER_KINDS, Provenance, check_quantizer_kind
-from .errors import DataError, NumericalError, SeatcheckError
+from .encoders import ENCODER_KINDS, Provenance
+from .errors import DataError, NumericalError, SeatcheckError, StageError
 from .eval_metrics import ScoredSample, accuracy, best_threshold, curve_to_csv, is_true_positive
 from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
-from .linear_classifier import check_trained_on, train_svm, weights_to_csv
+from .linear_classifier import check_trained_on, weights_to_csv
 from .pca_reduce import fit_pca, project_set
 from .pipeline import (
     PipelineConfig,
     build_face_model,
-    describe,
     detect_faces,
+    encode_all,
     evaluate,
+    extract_all,
     pool_descriptors,
     run_pipeline,
-    signature,
+    train_classifier,
+    train_vocabulary,
 )
 from .synthetic import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 
@@ -66,8 +68,7 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    # args carries the geometry: --patch, --stride, --levels and --factor.
-    sets = [describe(im.image, args, source_id=im.image_id) for im in load_dataset(args.manifest)]
+    sets = extract_all(load_dataset(args.manifest), _from_args(PipelineConfig, args))
     store.save_descriptor_sets(sets, args.out)
     if args.dump_csv:
         for ds in sets:
@@ -98,33 +99,23 @@ def _load_projected_sets(args):
     return sets
 
 
-def cmd_train_codebook(args) -> int:
-    sets = _load_projected_sets(args)
-    data = pool_descriptors(sets, args.sample, args.sample_seed)
-    cb = train_kmeans(data, K=args.k, seed=args.seed, max_iter=args.max_iter)
-    store.save_quantizer(cb, args.out)
-    print(f"k-means codebook K={cb.K} d={cb.d} -> {args.out}")
-    return 0
-
-
-def cmd_train_gmm(args) -> int:
-    sets = _load_projected_sets(args)
-    data = pool_descriptors(sets, args.sample, args.sample_seed)
-    gmm = train_gmm(data, K=args.k, seed=args.seed, max_iter=args.max_iter, tol=args.tol)
-    store.save_quantizer(gmm, args.out)
+def cmd_train_vocabulary(args) -> int:
+    """train-codebook (encoder bow) and train-gmm (encoder fisher)."""
+    vocab = train_vocabulary(_load_projected_sets(args), _from_args(PipelineConfig, args))
+    store.save_quantizer(vocab, args.out)
+    if args.encoder != "fisher":
+        print(f"k-means codebook K={vocab.K} d={vocab.d} -> {args.out}")
+        return 0
     if args.debug_dump:
-        store.atomic_write_text(args.debug_dump, gmm_debug_dump(gmm))
-    print(
-        f"GMM K={gmm.K} d={gmm.d} trained ({len(gmm.loglik_history)} EM iterations) -> {args.out}"
-    )
+        store.atomic_write_text(args.debug_dump, gmm_debug_dump(vocab))
+    print(f"GMM K={vocab.K} d={vocab.d} trained ({len(vocab.loglik_history)} EM iterations) -> {args.out}")
     return 0
 
 
 def cmd_encode(args) -> int:
     sets = _load_projected_sets(args)
     quantizer = store.load_quantizer(args.vocab)
-    check_quantizer_kind(args.encoder, quantizer)
-    x = [signature(s, quantizer, args.encoder) for s in sets]
+    x = encode_all(sets, quantizer, _from_args(PipelineConfig, args))
     ids = [s.source_id for s in sets]
     labels = None
     if args.manifest:
@@ -142,9 +133,7 @@ def cmd_encode(args) -> int:
 
 def cmd_train_svm(args) -> int:
     x, provenance, labels, _ = _labeled_corpus(args.corpus)
-    clf = train_svm(
-        x, labels, provenance.fingerprint, lambda_=args.lambda_, epochs=args.epochs, seed=args.seed
-    )
+    clf = train_classifier(x, labels, provenance, _from_args(PipelineConfig, args))
     store.save_classifier(clf, args.out)
     if args.weights_csv:
         store.atomic_write_text(args.weights_csv, weights_to_csv(clf))
@@ -257,21 +246,21 @@ def build_parser() -> Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_pca)
 
-    for name, fn in (("train-codebook", cmd_train_codebook), ("train-gmm", cmd_train_gmm)):
-        p = sub.add_parser(name, help=f"{'k-means codebook' if 'codebook' in name else 'ML-EM GMM'} from descriptors")
+    for name, encoder, cap in (("train-codebook", "bow", "kmeans_max_iter"),
+                               ("train-gmm", "fisher", "gmm_max_iter")):
+        p = sub.add_parser(name, help=f"{'ML-EM GMM' if encoder == 'fisher' else 'k-means codebook'} from descriptors")
         p.add_argument("--descriptors", required=True)
         p.add_argument("--pca", help="optional PCA model applied before training")
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--seed", type=int, default=DEFAULTS.vocab_seed)
-        p.add_argument("--max-iter", type=int, default=DEFAULTS.gmm_max_iter
-                       if name == "train-gmm" else DEFAULTS.kmeans_max_iter)
-        p.add_argument("--sample", type=int, default=DEFAULTS.vocab_sample)
+        p.add_argument("--seed", dest="vocab_seed", type=int, default=DEFAULTS.vocab_seed)
+        p.add_argument("--max-iter", dest=cap, type=int, default=getattr(DEFAULTS, cap))
+        p.add_argument("--sample", dest="vocab_sample", type=int, default=DEFAULTS.vocab_sample)
         p.add_argument("--sample-seed", type=int, default=DEFAULTS.sample_seed)
         p.add_argument("--out", required=True)
-        if name == "train-gmm":
-            p.add_argument("--tol", type=float, default=DEFAULTS.gmm_tol)
+        if encoder == "fisher":
+            p.add_argument("--tol", dest="gmm_tol", type=float, default=DEFAULTS.gmm_tol)
             p.add_argument("--debug-dump", help="write a plain-text component listing")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_train_vocabulary, encoder=encoder)
 
     p = sub.add_parser("encode", help="aggregate descriptors into image signatures")
     p.add_argument("--descriptors", required=True)
@@ -287,7 +276,7 @@ def build_parser() -> Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--lambda", dest="lambda_", type=float, default=DEFAULTS.lambda_)
     p.add_argument("--epochs", type=int, default=DEFAULTS.epochs)
-    p.add_argument("--seed", type=int, default=DEFAULTS.svm_seed)
+    p.add_argument("--seed", dest="svm_seed", type=int, default=DEFAULTS.svm_seed)
     p.add_argument("--weights-csv", help="also export weights as CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_svm)
@@ -347,10 +336,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
     except SeatcheckError as e:
+        # run-all tags each stage's error; the cause decides the exit code
+        if isinstance(e.cause if isinstance(e, StageError) else e, NumericalError):
+            print(f"numerical failure: {e}", file=sys.stderr)
+            return 3
         print(f"error: {e}", file=sys.stderr)
         return 2
 

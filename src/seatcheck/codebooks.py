@@ -277,9 +277,9 @@ def assign_nearest(cb: KmeansCodebook, x: np.ndarray) -> int | np.ndarray:
     return int(idx[0]) if single else idx
 
 
-def _features(x: np.ndarray) -> np.ndarray:
-    """(n, 2d) rows [x, x^2], the inputs of the density form."""
-    return np.hstack([x, x * x])
+def _features(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(n, 2d) rows [x, x^2], the inputs of the density form (into ``out`` when given)."""
+    return np.concatenate([x, x * x], axis=1, out=out)
 
 
 def _density_form(gmm: GmmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -377,19 +377,22 @@ def train_gmm(
     weights = counts / n
     means = cb.centroids.copy()
     # Within-cluster variances as .var(axis=0) computes them: deviations from
-    # the members' own mean, squared, summed in input order.
-    columns = np.ascontiguousarray(data.T)
-    dev = columns - (_cluster_sums(columns, labels, K) / counts[:, None]).T[:, labels]
-    dev *= dev
-    variances = _cluster_sums(dev, labels, K) / counts[:, None]
-    del columns, dev
+    # the members' own mean, squared, summed in input order; one column at a
+    # time, so no (d, n) copy of the data is held.
+    variances = np.empty((K, d))
+    for j, col in enumerate(data.T):
+        dev = col - (np.bincount(labels, weights=col, minlength=K) / counts)[labels]
+        dev *= dev
+        variances[:, j] = np.bincount(labels, weights=dev, minlength=K) / counts
     weights = np.maximum(weights, WEIGHT_FLOOR)
     weights /= weights.sum()
     variances = np.maximum(variances, VARIANCE_FLOOR)
 
-    Z = _features(data)
     blocks = _row_blocks(n, max(K, 2 * d))
-    resp = np.empty((K, max(b - a for a, b in blocks)))
+    rows = max(b - a for a, b in blocks)
+    # One buffer for a block's responsibilities and one for its features, so
+    # the (n, 2d) features of the whole pool are never held.
+    resp, zbuf = np.empty((K, rows)), np.empty((rows, 2 * d))
     lse = np.empty(n)
     history: list[float] = []
     prev_ll = -np.inf
@@ -405,9 +408,9 @@ def train_gmm(
         S = np.zeros((K, 2 * d))
         nk = np.zeros(K)
         for a, b in blocks:
-            r = resp[:, : b - a]
-            lse[a:b] = _e_step(W, c, Z[a:b], r)
-            S += r @ Z[a:b]
+            r, z = resp[:, : b - a], _features(data[a:b], zbuf[: b - a])
+            lse[a:b] = _e_step(W, c, z, r)
+            S += r @ z
             nk += r.sum(axis=1)
         ll = float(lse.mean())
         if not np.isfinite(ll):

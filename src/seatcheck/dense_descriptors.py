@@ -57,9 +57,14 @@ class DescriptorSet:
             arr = np.asarray(getattr(self, name))
             if arr.shape != (t,):
                 raise DataError(f"{name} length {arr.shape} does not match T={t}")
+        if not isinstance(self.source_id, str):
+            raise DataError(f"descriptor set id must be a string, got {self.source_id!r}")
+        for name in ("x_norm", "y_norm"):
+            pos = np.asarray(getattr(self, name), dtype=np.float64)
+            if not ((pos >= 0.0) & (pos <= 1.0)).all():  # NaN fails both
+                raise DataError(f"{name} must be finite and in [0, 1]")
+            object.__setattr__(self, name, pos)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "x_norm", np.asarray(self.x_norm, dtype=np.float64))
-        object.__setattr__(self, "y_norm", np.asarray(self.y_norm, dtype=np.float64))
         object.__setattr__(self, "scale_level", np.asarray(self.scale_level, dtype=np.int64))
 
     def __len__(self) -> int:

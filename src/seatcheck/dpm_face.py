@@ -101,11 +101,13 @@ class Edge:
 
 @dataclass(frozen=True)
 class PartTree:
-    """One mixture: part templates plus a tree of deformation edges."""
+    """One mixture: part templates plus a tree of deformation edges; ``order``
+    lists the edges leaf to root (children before parents)."""
 
     templates: tuple[np.ndarray, ...]
     edges: tuple[Edge, ...]
     root: int = 0
+    order: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tpls = tuple(np.ascontiguousarray(t, dtype=np.float64) for t in self.templates)
@@ -125,29 +127,9 @@ class PartTree:
         children = [e.child for e in self.edges]
         if len(set(children)) != len(children) or self.root in children:
             raise DataError("edges must give every non-root part exactly one parent")
-        # reachability from the root
-        adj: dict[int, list[int]] = {}
-        for e in self.edges:
-            adj.setdefault(e.parent, []).append(e.child)
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for c in adj.get(stack.pop(), []):
-                if c in seen:
-                    raise DataError("part tree contains a cycle")
-                seen.add(c)
-                stack.append(c)
-        if len(seen) != n:
-            raise DataError("part tree is not connected")
-        object.__setattr__(self, "templates", tpls)
-        object.__setattr__(self, "edges", tuple(self.edges))
-
-    @property
-    def n_parts(self) -> int:
-        return len(self.templates)
-
-    def ordered_edges(self) -> list[Edge]:
-        """Edges in leaf-to-root processing order (children before parents)."""
+        # With one parent per non-root part, a walk from the root visits each
+        # part at most once; it reaches all n - 1 edges only when the edges
+        # form one tree (a cycle or a second component stays unreached).
         by_parent: dict[int, list[Edge]] = {}
         for e in self.edges:
             by_parent.setdefault(e.parent, []).append(e)
@@ -159,7 +141,15 @@ class PartTree:
                 order.append(e)
 
         visit(self.root)
-        return order
+        if len(order) != n - 1:
+            raise DataError("part tree is not connected")
+        object.__setattr__(self, "templates", tpls)
+        object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "order", tuple(order))
+
+    @property
+    def n_parts(self) -> int:
+        return len(self.templates)
 
 
 @dataclass(frozen=True)
@@ -286,7 +276,7 @@ def _infer_tree(tree: PartTree, bias: float, fmap: HogFeatureMap):
     totals = [_appearance_response(fmap, t) for t in tree.templates]
     argmax_child: dict[int, np.ndarray] = {}
 
-    for e in tree.ordered_edges():
+    for e in tree.order:
         child_total = totals[e.child]
         nyc, nxc = child_total.shape
         nyp, nxp = totals[e.parent].shape
@@ -313,7 +303,7 @@ def _infer_tree(tree: PartTree, bias: float, fmap: HogFeatureMap):
 
     locations: list[tuple[int, int] | None] = [None] * tree.n_parts
     locations[tree.root] = (rx, ry)
-    for e in tree.ordered_edges()[::-1]:  # root-to-leaf
+    for e in tree.order[::-1]:  # root-to-leaf
         px, py = locations[e.parent]
         nyc = totals[e.child].shape[0]
         code = int(argmax_child[e.child][py, px])

@@ -134,22 +134,18 @@ def encode_bow(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) ->
     Each region histogram is L1-normalized (empty regions stay zero) so the
     dense 4x4 level cannot drown the whole-image histogram; the 21*K
     concatenation is then L2-normalized. BoW receives no power normalization.
+    All 21 histograms are one ``bincount`` over region * K + word; DescriptorSet
+    keeps positions in [0, 1], so each descriptor lands in one cell per level.
     """
     _check_nonempty(ds, cb.d)
     words = assign_nearest(cb, ds.vectors)
     K = cb.K
-    hists = np.zeros((BOW_REGIONS, K))
-    hists[0] = np.bincount(words, minlength=K)
-    region = 1
-    for n in (2, 4):
-        ix = _grid_index(ds.x_norm, n)
-        iy = _grid_index(ds.y_norm, n)
-        cell = iy * n + ix
-        for c in range(n * n):
-            mask = cell == c
-            if mask.any():
-                hists[region + c] = np.bincount(words[mask], minlength=K)
-        region += n * n
+    # (3, T): each descriptor's region at the whole-image, 2x2 and 4x4 levels
+    region = np.stack([np.zeros_like(words)] + [
+        first + _grid_index(ds.y_norm, n) * n + _grid_index(ds.x_norm, n) for first, n in ((1, 2), (5, 4))
+    ])
+    hists = np.bincount((region * K + words).ravel(), minlength=BOW_REGIONS * K)
+    hists = hists.reshape(BOW_REGIONS, K).astype(np.float64)
     sums = hists.sum(axis=1, keepdims=True)
     hists = np.divide(hists, sums, out=np.zeros_like(hists), where=sums > 0)
     flat = hists.ravel()

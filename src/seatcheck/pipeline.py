@@ -23,7 +23,9 @@ import numpy as np
 from .codebooks import DEFAULT_EM_ITER, train_gmm, train_kmeans
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, DescriptorSet, extract_dense
 from .dpm_face import PartMixtureModel, build_synthetic_face_model, detect_occupancy
-from .encoders import ENCODER_KINDS, Provenance, encode_bow, encode_fv, encode_vlad, l2_or_zero
+from .encoders import (
+    ENCODER_KINDS, Provenance, check_quantizer_kind, encode_bow, encode_fv, encode_vlad, l2_or_zero,
+)
 from .errors import DataError, SeatcheckError, StageError
 from .eval_metrics import (
     ScoredSample,
@@ -92,8 +94,7 @@ def describe(image: GrayImage, geometry, pca: PcaModel | None = None, source_id:
     """Dense descriptors of one image, projected by ``pca`` when given.
 
     ``geometry`` is anything with ``patch``, ``stride``, ``levels`` and
-    ``scale_factor`` attributes: a PipelineConfig, a PipelineModel, or the
-    CLI's parsed arguments.
+    ``scale_factor`` attributes: a PipelineConfig or a PipelineModel.
     """
     pyr = build_pyramid(image, levels=geometry.levels, factor=geometry.scale_factor)
     ds = extract_dense(pyr, patch=geometry.patch, stride=geometry.stride, source_id=source_id)
@@ -161,28 +162,20 @@ def detect_faces(model: PartMixtureModel, images, levels: int, factor: float) ->
     return out
 
 
-def _stage(name):
-    """Tag errors raised inside run_pipeline's stages with the stage name."""
-
-    def wrap(fn):
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except SeatcheckError as e:
-                raise StageError(name, e) from e
-
-        return run
-
-    return wrap
+def _stage(name, fn, *args):
+    """Run one stage of run_pipeline, tagging its errors with the stage name."""
+    try:
+        return fn(*args)
+    except SeatcheckError as e:
+        raise StageError(name, e) from e
 
 
-@_stage("extract")
-def _extract_all(images, config, pca=None) -> list[DescriptorSet]:
-    return [describe(im.image, config, pca, im.image_id) for im in images]
+def extract_all(images, geometry, pca=None) -> list[DescriptorSet]:
+    """``describe`` every image of ``images`` (LabeledImages) under ``geometry``."""
+    return [describe(im.image, geometry, pca, im.image_id) for im in images]
 
 
-@_stage("pca")
-def _fit_project_pca(train_sets, config):
+def fit_project_pca(train_sets, config):
     """Fit on the sets as per-image blocks, then replace each set in ``train_sets``
     by its projection, so each raw set is freed as soon as its projection exists."""
     if config.pca_dim is None:
@@ -193,9 +186,10 @@ def _fit_project_pca(train_sets, config):
     return pca, train_sets
 
 
-@_stage("vocab")
-def _train_vocab(train_sets, config):
-    pool = pool_descriptors(train_sets, config.vocab_sample, config.sample_seed)
+def train_vocabulary(sets, config):
+    """A GMM for the Fisher encoder, else a k-means codebook, trained on the
+    seeded ``vocab_sample`` subsample of the descriptors of ``sets``."""
+    pool = pool_descriptors(sets, config.vocab_sample, config.sample_seed)
     if config.encoder == "fisher":
         return train_gmm(
             pool, K=config.k, seed=config.vocab_seed,
@@ -217,12 +211,12 @@ def _vocab_stopping(quantizer, config) -> dict:
     }
 
 
-@_stage("encode")
-def _encode_all(sets, quantizer, config, final_pca=None) -> np.ndarray:
+def encode_all(sets, quantizer, config, final_pca=None) -> np.ndarray:
+    """(N, D) matrix of the ``signature`` of each set under ``config.encoder``."""
+    check_quantizer_kind(config.encoder, quantizer)
     return np.stack([signature(d, quantizer, config.encoder, final_pca) for d in sets])
 
 
-@_stage("final-pca")
 def _compress(train_x, config):
     """Fit the final PCA on the training signatures, then compress each row
     as ``signature`` compresses one image."""
@@ -232,20 +226,34 @@ def _compress(train_x, config):
     return pca, np.stack([l2_or_zero(project(pca, v)) for v in train_x])
 
 
-@_stage("svm")
-def _train_classifier(train_x, train_labels, provenance, config):
+def train_classifier(train_x, train_labels, provenance, config) -> LinearModel:
+    """The linear SVM on signatures that ``provenance`` describes."""
     return train_svm(
         train_x, train_labels, provenance.fingerprint,
         lambda_=config.lambda_, epochs=config.epochs, seed=config.svm_seed,
     )
 
 
-@_stage("dpm")
 def _dpm_comparison(train_images, test_images, config):
     model = build_face_model(train_images, seed=config.dpm_seed)
     scored = detect_faces(model, test_images, config.levels, config.scale_factor)
     threshold, acc = best_threshold([s for s, _ in scored])
     return model, threshold, acc
+
+
+def _persist(out_dir: Path, model: PipelineModel, roc, yc, metrics: dict) -> tuple[str, ...]:
+    """Write model.json, the two curves, table.csv and metrics.json; return their paths."""
+    try:
+        save_model(model, out_dir / "model.json")
+        atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))
+        atomic_write_text(out_dir / "yield.csv", curve_to_csv(yc))
+        table = accuracy_table([(metrics["encoder"], metrics["k"], metrics["accuracy"])])
+        atomic_write_text(out_dir / "table.csv", table)
+        atomic_write_text(out_dir / "metrics.json", json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    except OSError as e:
+        raise SeatcheckError(str(e)) from e
+    names = ("model.json", "roc.csv", "yield.csv", "table.csv", "metrics.json")
+    return tuple(str(out_dir / n) for n in names)
 
 
 def run_pipeline(
@@ -257,33 +265,34 @@ def run_pipeline(
 
     When ``out_dir`` is given, writes model.json, roc.csv, yield.csv,
     metrics.json, and table.csv there (atomically, only on success).
+    Every stage's errors reach the caller as a StageError naming the stage.
     """
-    try:
-        train_images, test_images = split(images, config.train_fraction, config.split_seed)
-    except SeatcheckError as e:
-        raise StageError("split", e) from e
-
-    pca, train_sets = _fit_project_pca(_extract_all(train_images, config), config)
-    quantizer = _train_vocab(train_sets, config)
-    final_pca, train_x = _compress(_encode_all(train_sets, quantizer, config), config)
+    train_images, test_images = _stage("split", split, images, config.train_fraction, config.split_seed)
+    train_sets = _stage("extract", extract_all, train_images, config)
+    pca, train_sets = _stage("pca", fit_project_pca, train_sets, config)
+    quantizer = _stage("vocab", train_vocabulary, train_sets, config)
+    train_x = _stage("encode", encode_all, train_sets, quantizer, config)
+    final_pca, train_x = _stage("final-pca", _compress, train_x, config)
     provenance = Provenance(
         config.encoder, quantizer.K, quantizer.d, None if final_pca is None else final_pca.d_out
     )
-    classifier = _train_classifier(train_x, [im.target for im in train_images], provenance, config)
+    train_labels = [im.target for im in train_images]
+    classifier = _stage("svm", train_classifier, train_x, train_labels, provenance, config)
     # Test images take the per-image path score_image takes with the saved model.
-    test_x = _encode_all(_extract_all(test_images, config, pca), quantizer, config, final_pca)
-
+    test_x = _stage(
+        "encode", encode_all, _stage("extract", extract_all, test_images, config, pca),
+        quantizer, config, final_pca,
+    )
     labels, ids = [im.target for im in test_images], [im.image_id for im in test_images]
-    try:
-        samples, acc, roc, auc, yc = evaluate(classifier, test_x, labels, ids, config.yield_grid)
-    except SeatcheckError as e:
-        raise StageError("evaluate", e) from e
+    samples, acc, roc, auc, yc = _stage(
+        "evaluate", evaluate, classifier, test_x, labels, ids, config.yield_grid
+    )
 
-    dpm_model = None
-    dpm_acc = None
-    dpm_threshold = None
+    dpm_model = dpm_acc = dpm_threshold = None
     if config.with_dpm:
-        dpm_model, dpm_threshold, dpm_acc = _dpm_comparison(train_images, test_images, config)
+        dpm_model, dpm_threshold, dpm_acc = _stage(
+            "dpm", _dpm_comparison, train_images, test_images, config
+        )
 
     model = PipelineModel(
         encoder_kind=config.encoder,
@@ -300,37 +309,23 @@ def run_pipeline(
         scale_factor=config.scale_factor,
     )
 
-    artifacts: list[str] = []
+    artifacts: tuple[str, ...] = ()
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        try:
-            save_model(model, out_dir / "model.json")
-            atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))
-            atomic_write_text(out_dir / "yield.csv", curve_to_csv(yc))
-            atomic_write_text(out_dir / "table.csv", accuracy_table([(config.encoder, config.k, acc)]))
-            metrics = {
-                "accuracy": acc,
-                "auc": auc,
-                "count": len(images),
-                "train": len(train_images),
-                "test": len(test_images),
-                "encoder": config.encoder,
-                "k": config.k,
-                "dpm_accuracy": dpm_acc,
-                "dpm_threshold": dpm_threshold,
-                # best_threshold picks the threshold that maximizes test accuracy.
-                "dpm_threshold_split": "test" if config.with_dpm else None,
-                **_vocab_stopping(quantizer, config),
-            }
-            atomic_write_text(
-                out_dir / "metrics.json", json.dumps(metrics, sort_keys=True, indent=2) + "\n"
-            )
-            artifacts = [
-                str(out_dir / n)
-                for n in ("model.json", "roc.csv", "yield.csv", "table.csv", "metrics.json")
-            ]
-        except OSError as e:
-            raise StageError("persist", SeatcheckError(str(e))) from e
+        metrics = {
+            "accuracy": acc,
+            "auc": auc,
+            "count": len(images),
+            "train": len(train_images),
+            "test": len(test_images),
+            "encoder": config.encoder,
+            "k": config.k,
+            "dpm_accuracy": dpm_acc,
+            "dpm_threshold": dpm_threshold,
+            # best_threshold picks the threshold that maximizes test accuracy.
+            "dpm_threshold_split": "test" if config.with_dpm else None,
+            **_vocab_stopping(quantizer, config),
+        }
+        artifacts = _stage("persist", _persist, Path(out_dir), model, roc, yc, metrics)
 
     return PipelineResult(
         model=model,
@@ -340,7 +335,7 @@ def run_pipeline(
         test_samples=samples,
         dpm_accuracy=dpm_acc,
         dpm_threshold=dpm_threshold,
-        artifacts=tuple(artifacts),
+        artifacts=artifacts,
     )
 
 

@@ -88,9 +88,9 @@ class PipelineModel:
     def __post_init__(self):
         native = Provenance(self.encoder_kind, self.k, self.d)  # rejects an unknown kind
         check_quantizer_kind(self.encoder_kind, self.quantizer)
-        if not all(v >= 1 for v in (self.patch, self.stride, self.levels)) or not (
-            0.0 < self.scale_factor < 1.0
-        ):
+        counts = (self.patch, self.stride, self.levels)
+        whole = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts)
+        if not (whole and min(counts) >= 1 and 0.0 < self.scale_factor < 1.0):
             raise DataError("invalid extraction geometry")
         if self.quantizer.K != self.k or self.quantizer.d != self.d:
             raise DataError("quantizer shape does not match declared (k, d)")
@@ -331,7 +331,26 @@ def load_dpm_model(path: str | Path) -> PartMixtureModel:
     return _load_component(path, _dpm_from_json, "DPM model file")
 
 
-# --- descriptor corpus ---------------------------------------------------------
+# --- binary corpora ------------------------------------------------------------
+
+
+def _write_framed(path: str | Path, magic: bytes, header: dict, blocks) -> None:
+    """The binary corpus frame: ``magic``, one line of sorted-key JSON
+    ``header``, then each block's values as row-major little-endian float64."""
+    parts = [magic, (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")]
+    parts += [np.ascontiguousarray(b, dtype="<f8").tobytes() for b in blocks]
+    atomic_write_bytes(path, b"".join(parts))
+
+
+def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, np.ndarray]:
+    """(header, read-only float64 values) of a file ``_write_framed`` wrote; a
+    trailing partial value is dropped, so callers see truncation as a short count."""
+    data = Path(path).read_bytes()
+    if not data.startswith(magic):
+        raise DataError(f"not a seatcheck {what}")
+    nl = data.index(b"\n", len(magic))
+    values = np.frombuffer(data, dtype="<f8", count=(len(data) - nl - 1) // 8, offset=nl + 1)
+    return json.loads(data[len(magic) : nl]), values
 
 
 def save_descriptor_sets(sets: list[DescriptorSet], path: str | Path) -> None:
@@ -344,40 +363,27 @@ def save_descriptor_sets(sets: list[DescriptorSet], path: str | Path) -> None:
     dim = sets[0].dim
     if any(d.dim != dim for d in sets):
         raise DataError("all descriptor sets in a corpus must share one dim")
-    header = {
-        "dim": dim,
-        "images": [{"id": d.source_id, "count": len(d)} for d in sets],
-    }
-    blobs = [DESC_MAGIC, (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")]
-    for d in sets:
-        block = np.column_stack(
-            [d.x_norm, d.y_norm, d.scale_level.astype(np.float64), d.vectors]
-        )
-        blobs.append(np.ascontiguousarray(block, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(blobs))
+    header = {"dim": dim, "images": [{"id": d.source_id, "count": len(d)} for d in sets]}
+    _write_framed(path, DESC_MAGIC, header, (
+        np.column_stack([d.x_norm, d.y_norm, d.scale_level.astype(np.float64), d.vectors]) for d in sets
+    ))
 
 
 def load_descriptor_sets(path: str | Path) -> list[DescriptorSet]:
     with _decoding("descriptor corpus"):
-        data = Path(path).read_bytes()
-        if not data.startswith(DESC_MAGIC):
-            raise DataError("not a seatcheck descriptor corpus")
-        nl = data.index(b"\n", len(DESC_MAGIC))
-        header = json.loads(data[len(DESC_MAGIC) : nl])
-        dim = header["dim"]
+        header, values = _read_framed(path, DESC_MAGIC, "descriptor corpus")
         if not header["images"]:
             raise DataError("descriptor corpus holds no images")
         out = []
-        offset = nl + 1
-        width = 3 + dim
+        offset = 0
+        width = 3 + header["dim"]
         for entry in header["images"]:
             count = entry["count"]
-            nbytes = count * width * 8
-            block = np.frombuffer(data[offset : offset + nbytes], dtype="<f8")
+            block = values[offset : offset + count * width]
             if block.size != count * width:
                 raise DataError("descriptor corpus truncated")
             block = block.reshape(count, width)
-            offset += nbytes
+            offset += count * width
             levels = block[:, 2]
             # Non-negative integers that fit int64; NaN fails every comparison.
             if not ((levels >= 0) & (levels < 2.0**63) & (levels == np.floor(levels))).all():
@@ -394,9 +400,6 @@ def load_descriptor_sets(path: str | Path) -> list[DescriptorSet]:
         return out
 
 
-# --- encoded corpus -------------------------------------------------------------
-
-
 def _check_corpus(x: np.ndarray, provenance: Provenance, labels, ids) -> None:
     """What an encoded corpus satisfies on its way to disk and back."""
     if len(ids) == 0:
@@ -406,6 +409,8 @@ def _check_corpus(x: np.ndarray, provenance: Provenance, labels, ids) -> None:
             f"corpus of shape {x.shape} with {len(ids)} ids does not match its provenance "
             f"{provenance.fingerprint!r} (length {provenance.length})"
         )
+    if not all(isinstance(i, str) for i in ids):
+        raise DataError("corpus ids must be strings")
     if labels is not None and len(labels) != len(ids):
         raise DataError("corpus ids/labels do not match its count")
     if labels is not None and not all(type(v) is int and v in (-1, 1) for v in labels):
@@ -436,28 +441,18 @@ def save_corpus(
         "ids": list(ids),
         "labels": list(labels) if labels is not None else None,
     }
-    atomic_write_bytes(
-        path,
-        CORPUS_MAGIC
-        + (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-        + np.ascontiguousarray(x, dtype="<f8").tobytes(),
-    )
+    _write_framed(path, CORPUS_MAGIC, header, [x])
 
 
 def load_corpus(path: str | Path) -> tuple[np.ndarray, Provenance, list[int] | None, list[str]]:
     """(read-only (N, D) signature matrix, its provenance, labels or None, ids).
     Headers from earlier releases also hold a ``normalized`` key, ignored here."""
     with _decoding("encoded corpus"):
-        data = Path(path).read_bytes()
-        if not data.startswith(CORPUS_MAGIC):
-            raise DataError("not a seatcheck encoded corpus")
-        nl = data.index(b"\n", len(CORPUS_MAGIC))
-        header = json.loads(data[len(CORPUS_MAGIC) : nl])
+        header, x = _read_framed(path, CORPUS_MAGIC, "encoded corpus")
         provenance = Provenance(
             header["encoder_kind"], header["k"], header["d"], header["compressed_dim"]
         )
         count, length = header["count"], header["length"]
-        x = np.frombuffer(data[nl + 1 :], dtype="<f8")
         if x.size != count * length:
             raise DataError("corpus truncated")
         x = x.reshape(count, length)

@@ -242,6 +242,7 @@ def load_dataset(manifest_path: str | Path) -> list[LabeledImage]:
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     out = []
+    first_line: dict[str, int] = {}
     try:
         rows = list(csv.reader(manifest_path.read_text().splitlines()))
     except OSError as e:
@@ -254,6 +255,11 @@ def load_dataset(manifest_path: str | Path) -> list[LabeledImage]:
         if len(row) != 6:
             raise DataError(f"manifest line {lineno}: expected 6 columns, got {len(row)}")
         path, label, *box_fields = row
+        image_id = Path(path).stem  # ids name images downstream, so they must be unique
+        if first_line.setdefault(image_id, lineno) != lineno:
+            raise DataError(
+                f"manifest lines {first_line[image_id]} and {lineno} both give image id {image_id!r}"
+            )
         box = None
         if any(f != "" for f in box_fields):
             try:
@@ -266,6 +272,6 @@ def load_dataset(manifest_path: str | Path) -> list[LabeledImage]:
         except DataError as e:
             raise DataError(f"manifest line {lineno}: image {path!r}: {e}") from e
         out.append(
-            LabeledImage(image=img, label=label, gt_face_box=box, image_id=Path(path).stem)
+            LabeledImage(image=img, label=label, gt_face_box=box, image_id=image_id)
         )
     return out

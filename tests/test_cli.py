@@ -252,7 +252,7 @@ def test_em_cap_is_one_constant():
     from seatcheck.codebooks import DEFAULT_EM_ITER, train_gmm
 
     args = build_parser().parse_args(["train-gmm", "--descriptors", "d.bin", "--k", "2", "--out", "g.json"])
-    assert args.max_iter == DEFAULT_EM_ITER
+    assert args.gmm_max_iter == DEFAULT_EM_ITER
     assert PipelineConfig().gmm_max_iter == DEFAULT_EM_ITER
     assert inspect.signature(train_gmm).parameters["max_iter"].default == DEFAULT_EM_ITER
 
@@ -285,3 +285,103 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     ])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numerical_failure_in_run_all_exits_3(tmp_path, capsys, monkeypatch):
+    # run-all tags a stage's error with the stage name; the exit code follows its cause
+    from seatcheck import pipeline
+    from seatcheck.errors import NumericalError
+
+    def diverge(*args, **kwargs):
+        raise NumericalError("non-finite parameters during EM")
+
+    monkeypatch.setattr(pipeline, "train_gmm", diverge)
+    rc = main([
+        "run-all", "--out", str(tmp_path / "run"), "--count", "20", "--width", "80",
+        "--height", "64",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: [stage=vocab]" in err
+    assert not (tmp_path / "run").exists()
+
+
+# Every subcommand's options as (option strings, default, type), as the CLI
+# had them before its staged commands called the pipeline's stage functions.
+CLI_SURFACE = {
+    "synth-gen": [
+        (("--out",), None, None), (("--count",), 400, "int"),
+        (("--positive-fraction",), 0.5, "float"), (("--width",), 128, "int"),
+        (("--height",), 96, "int"), (("--noise-sigma",), 0.02, "float"), (("--seed",), 0, "int"),
+    ],
+    "extract": [
+        (("--manifest",), None, None), (("--out",), None, None), (("--patch",), 24, "int"),
+        (("--stride",), 4, "int"), (("--levels",), 3, "int"),
+        (("--factor",), 0.7071067811865475, "float"), (("--dump-csv",), None, None),
+    ],
+    "train-pca": [
+        (("--descriptors",), None, None), (("--dim",), 64, "int"), (("--sample",), None, "int"),
+        (("--sample-seed",), 2, "int"), (("--out",), None, None),
+    ],
+    "train-codebook": [
+        (("--descriptors",), None, None), (("--pca",), None, None), (("--k",), None, "int"),
+        (("--seed",), 3, "int"), (("--max-iter",), 100, "int"), (("--sample",), 60000, "int"),
+        (("--sample-seed",), 2, "int"), (("--out",), None, None),
+    ],
+    "train-gmm": [
+        (("--descriptors",), None, None), (("--pca",), None, None), (("--k",), None, "int"),
+        (("--seed",), 3, "int"), (("--max-iter",), 20, "int"), (("--sample",), 60000, "int"),
+        (("--sample-seed",), 2, "int"), (("--out",), None, None), (("--tol",), 1e-05, "float"),
+        (("--debug-dump",), None, None),
+    ],
+    "encode": [
+        (("--descriptors",), None, None), (("--pca",), None, None), (("--encoder",), None, None),
+        (("--vocab",), None, None), (("--manifest",), None, None), (("--csv",), None, None),
+        (("--out",), None, None),
+    ],
+    "train-svm": [
+        (("--corpus",), None, None), (("--lambda",), 1e-05, "float"), (("--epochs",), 50, "int"),
+        (("--seed",), 4, "int"), (("--weights-csv",), None, None), (("--out",), None, None),
+    ],
+    "evaluate": [
+        (("--corpus",), None, None), (("--classifier",), None, None), (("--out-dir",), None, None),
+    ],
+    "build-dpm": [
+        (("--manifest",), None, None), (("--cell-size",), 3, "int"), (("--seed",), 5, "int"),
+        (("--out",), None, None),
+    ],
+    "detect-face": [
+        (("--manifest",), None, None), (("--model",), None, None),
+        (("--threshold",), None, "float"), (("--levels",), 3, "int"),
+        (("--factor",), 0.7071067811865475, "float"), (("--out",), None, None),
+    ],
+    "run-all": [
+        (("--out",), None, None), (("--manifest",), None, None), (("--count",), 400, "int"),
+        (("--positive-fraction",), 0.5, "float"), (("--width",), 128, "int"),
+        (("--height",), 96, "int"), (("--noise-sigma",), 0.02, "float"), (("--seed",), 7, "int"),
+        (("--encoder",), "fisher", None), (("--k",), 32, "int"), (("--pca-dim",), 64, "int"),
+        (("--final-pca",), None, "int"), (("--lambda",), 1e-05, "float"),
+        (("--epochs",), 50, "int"), (("--train-fraction",), 0.8, "float"),
+        (("--vocab-sample",), 60000, "int"), (("--split-seed",), 1, "int"),
+        (("--sample-seed",), 2, "int"), (("--vocab-seed",), 3, "int"),
+        (("--svm-seed",), 4, "int"), (("--with-dpm",), False, None),
+    ],
+}
+
+
+def test_cli_surface_is_unchanged():
+    import argparse
+
+    from seatcheck.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [
+            (tuple(a.option_strings), a.default, a.type.__name__ if a.type else None)
+            for a in p._actions
+            if a.option_strings != ["-h", "--help"]
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE

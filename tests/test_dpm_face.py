@@ -173,7 +173,7 @@ def tensor_infer_tree(tree, bias, fmap):
     placements, x-major, so ties resolve to the smallest (x, y)."""
     totals = [dpm_face._appearance_response(fmap, t) for t in tree.templates]
     argmax_child = {}
-    for e in tree.ordered_edges():
+    for e in tree.order:
         child_total = totals[e.child]
         nyc, nxc = child_total.shape
         nyp, nxp = totals[e.parent].shape
@@ -192,7 +192,7 @@ def tensor_infer_tree(tree, bias, fmap):
     rx, ry = flat_idx // nyr, flat_idx % nyr
     locations = [None] * tree.n_parts
     locations[tree.root] = (rx, ry)
-    for e in tree.ordered_edges()[::-1]:
+    for e in tree.order[::-1]:
         px, py = locations[e.parent]
         nyc = totals[e.child].shape[0]
         code = int(argmax_child[e.child][py, px])
@@ -564,3 +564,35 @@ def test_build_synthetic_face_model_structure():
     # usable end to end
     decision, det = detect_occupancy(model, faces[0][0], threshold=-math.inf)
     assert decision == "person"
+
+
+def recursive_ordered_edges(tree):
+    """The leaf-to-root order as PartTree.ordered_edges built it on every call."""
+    by_parent = {}
+    for e in tree.edges:
+        by_parent.setdefault(e.parent, []).append(e)
+    order = []
+
+    def visit(node):
+        for e in by_parent.get(node, []):
+            visit(e.child)
+            order.append(e)
+
+    visit(tree.root)
+    return order
+
+
+def test_part_tree_keeps_the_leaf_to_root_order_of_its_validation_walk():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        for tree in random_model(rng, max_parts=7, mixtures=2).mixtures:
+            assert list(tree.order) == recursive_ordered_edges(tree)
+
+
+def test_part_tree_rejects_a_cycle_the_root_does_not_reach():
+    tpl = np.zeros((1, 1, 2))
+    edges = tuple(
+        Edge(parent=p, child=c, anchor_x=0, anchor_y=0, a=-1.0, b=-1.0) for p, c in ((1, 2), (2, 1))
+    )
+    with pytest.raises(DataError, match="not connected"):
+        PartTree(templates=(tpl,) * 3, edges=edges, root=0)

@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from seatcheck.codebooks import GmmModel, KmeansCodebook
+from seatcheck.codebooks import GmmModel, KmeansCodebook, assign_nearest
 from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.encoders import (
+    BOW_REGIONS,
     Provenance,
     _canonical_order,
     _canonical_vectors,
+    _grid_index,
     encode_bow,
     encode_fv,
     encode_vlad,
+    l2_or_zero,
     power_l2_normalize,
 )
 from seatcheck.errors import DataError, NumericalError
+from seatcheck.pipeline import PipelineConfig, describe
 from seatcheck.store import save_corpus
+from seatcheck.synthetic import SyntheticSpec, generate_synthetic
 
 
 def make_set(vectors, x=None, y=None):
@@ -408,3 +413,36 @@ def test_encoded_vector_rejects_non_finite_values(tmp_path, bad, normalized):
     with pytest.raises(DataError, match="finite"):
         save_corpus(v, Provenance("fisher", 2, 2), [1], ["im0"], tmp_path / "corpus.bin")
     assert not (tmp_path / "corpus.bin").exists()
+
+
+def loop_encode_bow(ds, cb, normalize=True):
+    """encode_bow before its one-bincount form, kept as the oracle: one masked
+    bincount per 2x2 and 4x4 cell."""
+    words = assign_nearest(cb, ds.vectors)
+    K = cb.K
+    hists = np.zeros((BOW_REGIONS, K))
+    hists[0] = np.bincount(words, minlength=K)
+    region = 1
+    for n in (2, 4):
+        cell = _grid_index(ds.y_norm, n) * n + _grid_index(ds.x_norm, n)
+        for c in range(n * n):
+            mask = cell == c
+            if mask.any():
+                hists[region + c] = np.bincount(words[mask], minlength=K)
+        region += n * n
+    sums = hists.sum(axis=1, keepdims=True)
+    hists = np.divide(hists, sums, out=np.zeros_like(hists), where=sums > 0)
+    flat = hists.ravel()
+    return l2_or_zero(flat) if normalize else flat
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_bow_one_bincount_equals_the_region_loop(normalize):
+    images = generate_synthetic(SyntheticSpec(count=40, seed=7))
+    sets = [describe(im.image, PipelineConfig()) for im in images]
+    rng = np.random.default_rng(5)
+    cb = KmeansCodebook(centroids=sets[0].vectors[rng.choice(len(sets[0]), 24, replace=False)])
+    edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0])  # cell boundaries, 1.0 closed
+    sets.append(make_set(rng.normal(size=(25, 128)), np.repeat(edges, 5), np.tile(edges, 5)))
+    for ds in sets:
+        assert (encode_bow(ds, cb, normalize) == loop_encode_bow(ds, cb, normalize)).all()

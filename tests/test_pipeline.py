@@ -163,12 +163,12 @@ def test_pca_stage_and_vocab_pool_stay_within_the_raw_corpus():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sets = pipeline._extract_all(images, config)
+        sets = pipeline.extract_all(images, config)
         raw = sum(d.vectors.nbytes for d in sets)
         assert sum(len(d) for d in sets) > config.vocab_sample
         alive = [weakref.ref(d) for d in sets]
         tracemalloc.reset_peak()
-        _, projected = pipeline._fit_project_pca(sets, config)
+        _, projected = pipeline.fit_project_pca(sets, config)
         pool = pipeline.pool_descriptors(projected, config.vocab_sample, config.sample_seed)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:

@@ -444,3 +444,69 @@ def test_nan_anywhere_in_model_file_is_data_error(kind, path):
     node[path[-1]] = float("nan")
     with pytest.raises(DataError):
         model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value", [("patch", 24.5), ("stride", 4.5), ("levels", 2.5), ("stride", True)])
+def test_model_geometry_must_be_integers(key, value):
+    # 24.5 would reach score_image as a raw TypeError; true would score at stride 1
+    doc = json.loads(model_to_json(small_model(np.random.default_rng(2))))
+    doc["extract"][key] = value
+    with pytest.raises(DataError, match="geometry"):
+        model_from_json(json.dumps(doc))
+
+
+def test_descriptor_corpus_ids_must_be_strings(valid_files, tmp_path):
+    blob = (valid_files / "desc.bin").read_bytes()
+    assert blob.count(b'"id": "img-3"') == 1
+    path = tmp_path / "desc.bin"
+    path.write_bytes(blob.replace(b'"id": "img-3"', b'"id": 5'))
+    with pytest.raises(DataError, match="string"):
+        load_descriptor_sets(path)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", [-0.5, 1.5, np.nan, np.inf])
+def test_descriptor_corpus_rejects_positions_outside_the_unit_square(valid_files, tmp_path, column, value):
+    # BoW would put a descriptor at x_norm -0.5 into another cell, or drop it
+    blob = (valid_files / "desc.bin").read_bytes()
+    start = blob.index(b"\n", len(DESC_MAGIC)) + 1
+    rows = np.frombuffer(blob[start:], dtype="<f8").reshape(-1, 3 + 5).copy()
+    rows[1, column] = value
+    path = tmp_path / "desc.bin"
+    path.write_bytes(blob[:start] + rows.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"in \[0, 1\]"):
+            load_descriptor_sets(path)
+
+
+def test_corpus_ids_must_be_strings(tmp_path):
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "count": 2, "length": 4,
+        "compressed_dim": None, "ids": ["a", 5], "labels": None,
+    }
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(_corpus_file(header, np.zeros((2, 4))))
+    with pytest.raises(DataError, match="ids must be strings"):
+        load_corpus(path)
+
+
+def test_binary_corpora_keep_their_byte_format(valid_files):
+    # magic, one line of sorted-key JSON header, then row-major little-endian float64
+    sets = load_descriptor_sets(valid_files / "desc.bin")
+    header = {"dim": 5, "images": [{"id": d.source_id, "count": len(d)} for d in sets]}
+    blocks = [
+        np.column_stack([d.x_norm, d.y_norm, d.scale_level.astype(np.float64), d.vectors]) for d in sets
+    ]
+    expected = (
+        DESC_MAGIC
+        + (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+        + b"".join(np.ascontiguousarray(b, dtype="<f8").tobytes() for b in blocks)
+    )
+    assert (valid_files / "desc.bin").read_bytes() == expected
+    x, provenance, labels, ids = load_corpus(valid_files / "corpus.bin")
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "compressed_dim": None, "count": 3,
+        "length": 4, "ids": ids, "labels": labels,
+    }
+    assert (valid_files / "corpus.bin").read_bytes() == _corpus_file(header, x)

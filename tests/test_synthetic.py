@@ -146,3 +146,17 @@ def test_load_dataset_names_the_line_of_a_corrupt_image(tmp_path):
     (tmp_path / "images" / f"{images[2].image_id}.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
     with pytest.raises(DataError, match=r"manifest line 4: .*truncated"):
         load_dataset(manifest)
+
+
+def test_load_dataset_rejects_two_rows_with_one_image_id(tmp_path):
+    # an image's id is its file stem: images/x.pgm and sub/images/x.pgm collide,
+    # and encode --manifest would label both with the second row's label
+    images = generate_synthetic(SyntheticSpec(count=4, positive_fraction=0.5, seed=9))
+    manifest = save_dataset(images, tmp_path)
+    name = f"{images[0].image_id}.pgm"
+    (tmp_path / "sub" / "images").mkdir(parents=True)
+    (tmp_path / "sub" / "images" / name).write_bytes((tmp_path / "images" / name).read_bytes())
+    rows = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(rows + [f"sub/images/{name},empty,,,,"]) + "\n")
+    with pytest.raises(DataError, match=rf"lines 2 and 6 both give image id '{images[0].image_id}'"):
+        load_dataset(manifest)
