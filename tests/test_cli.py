@@ -245,6 +245,24 @@ def test_corpus_with_non_numeric_labels_exits_2(tmp_path, capsys):
     assert not (tmp_path / "svm.json").exists()
 
 
+@pytest.mark.parametrize("sample", ["-5", "0"])
+def test_sample_below_1_exits_2(tmp_path, capsys, sample):
+    from seatcheck.dense_descriptors import DescriptorSet
+
+    rng = np.random.default_rng(0)
+    desc = tmp_path / "d.bin"
+    store.save_descriptor_sets([DescriptorSet(
+        vectors=rng.normal(size=(6, 4)), x_norm=rng.uniform(size=6), y_norm=rng.uniform(size=6),
+        scale_level=np.zeros(6, dtype=np.int64), source_id="img",
+    )], desc)
+    rc = main(["train-pca", "--descriptors", str(desc), "--dim", "2", "--sample", sample,
+               "--out", str(tmp_path / "pca.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"sample must be at least 1, got {sample}" in err and "Traceback" not in err
+    assert not (tmp_path / "pca.json").exists()
+
+
 def test_em_cap_is_one_constant():
     import inspect
 
@@ -307,7 +325,8 @@ def test_numerical_failure_in_run_all_exits_3(tmp_path, capsys, monkeypatch):
 
 
 # Every subcommand's options as (option strings, default, type), as the CLI
-# had them before its staged commands called the pipeline's stage functions.
+# had them before its staged commands called the pipeline's stage functions,
+# but for the vocabulary sample's default, since lowered from 60000 to 30000.
 CLI_SURFACE = {
     "synth-gen": [
         (("--out",), None, None), (("--count",), 400, "int"),
@@ -325,12 +344,12 @@ CLI_SURFACE = {
     ],
     "train-codebook": [
         (("--descriptors",), None, None), (("--pca",), None, None), (("--k",), None, "int"),
-        (("--seed",), 3, "int"), (("--max-iter",), 100, "int"), (("--sample",), 60000, "int"),
+        (("--seed",), 3, "int"), (("--max-iter",), 100, "int"), (("--sample",), 30000, "int"),
         (("--sample-seed",), 2, "int"), (("--out",), None, None),
     ],
     "train-gmm": [
         (("--descriptors",), None, None), (("--pca",), None, None), (("--k",), None, "int"),
-        (("--seed",), 3, "int"), (("--max-iter",), 20, "int"), (("--sample",), 60000, "int"),
+        (("--seed",), 3, "int"), (("--max-iter",), 20, "int"), (("--sample",), 30000, "int"),
         (("--sample-seed",), 2, "int"), (("--out",), None, None), (("--tol",), 1e-05, "float"),
         (("--debug-dump",), None, None),
     ],
@@ -362,7 +381,7 @@ CLI_SURFACE = {
         (("--encoder",), "fisher", None), (("--k",), 32, "int"), (("--pca-dim",), 64, "int"),
         (("--final-pca",), None, "int"), (("--lambda",), 1e-05, "float"),
         (("--epochs",), 50, "int"), (("--train-fraction",), 0.8, "float"),
-        (("--vocab-sample",), 60000, "int"), (("--split-seed",), 1, "int"),
+        (("--vocab-sample",), 30000, "int"), (("--split-seed",), 1, "int"),
         (("--sample-seed",), 2, "int"), (("--vocab-seed",), 3, "int"),
         (("--svm-seed",), 4, "int"), (("--with-dpm",), False, None),
     ],

@@ -117,6 +117,19 @@ def test_saved_model_scores_with_its_training_geometry(corpus, tmp_path, geometr
         assert score_image(model, by_id[sample.id].image) == sample.score
 
 
+@pytest.mark.parametrize("seed, vocab_sample", [(7, None), (21, 40000)])
+def test_metrics_count_the_vocabulary_sample(tmp_path, seed, vocab_sample):
+    """A 50-image corpus has 40 training images of 794 descriptors: 31,760 rows,
+    above the default cap and below 40,000."""
+    images = generate_synthetic(SyntheticSpec(count=50, seed=seed))
+    cap = vocab_sample or PipelineConfig().vocab_sample
+    run_pipeline(images, replace(SMALL, vocab_sample=cap), out_dir=tmp_path)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    total = metrics["train"] * 794
+    assert total == 31760
+    assert metrics["vocab_samples"] == (total if vocab_sample else cap)
+
+
 @pytest.mark.parametrize(
     "bad",
     [{"encoder": "foo"}, {"k": 0}, {"patch": 0}, {"stride": 0}, {"levels": 0}, {"epochs": 0},
