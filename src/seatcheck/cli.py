@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -20,11 +21,12 @@ from .codebooks import gmm_debug_dump
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, descriptors_to_csv
 from .encoders import ENCODER_KINDS, Provenance
 from .errors import DataError, NumericalError, SeatcheckError, StageError
-from .eval_metrics import ScoredSample, accuracy, best_threshold, curve_to_csv, is_true_positive
+from .eval_metrics import best_threshold, curve_to_csv, is_true_positive
 from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
-from .linear_classifier import check_trained_on, weights_to_csv
+from .linear_classifier import check_trained_on, score, weights_to_csv
 from .pca_reduce import fit_pca, project_set
 from .pipeline import (
+    DPM_SEED,
     PipelineConfig,
     build_face_model,
     detect_faces,
@@ -83,7 +85,7 @@ def cmd_train_pca(args) -> int:
     if args.sample is None:
         blocks = [s.vectors for s in sets]
     else:
-        blocks = [pool_descriptors(sets, args.sample, args.sample_seed)]
+        blocks = [pool_descriptors(sets, args.sample, _from_args(PipelineConfig, args).sample_seed)]
     model = fit_pca(blocks, args.dim)
     store.save_pca(model, args.out)
     n = sum(len(b) for b in blocks)
@@ -145,7 +147,7 @@ def cmd_evaluate(args) -> int:
     x, provenance, labels, ids = _labeled_corpus(args.corpus)
     clf = store.load_classifier(args.classifier)
     check_trained_on(clf, provenance)
-    _, acc, roc, auc, yc = evaluate(clf, x, labels, ids)
+    _, acc, roc, auc, yc = evaluate([score(clf, v) for v in x], labels, ids)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     store.atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))
@@ -172,10 +174,9 @@ def cmd_detect_face(args) -> int:
     if threshold is None:
         threshold, acc = best_threshold(samples)
         print(f"threshold not given; using score-sweep optimum {threshold!r} (accuracy {acc:.4f})")
-    decided = [
-        ScoredSample(id=s.id, score=s.score - threshold, label=s.label) for s in samples
-    ]
-    acc = accuracy(decided)
+    elif math.isnan(threshold):
+        raise DataError("detect-face threshold must be a number, got nan")
+    acc = sum((s.score >= threshold) == (s.label == 1) for s in samples) / len(samples)
     lines = ["id,decision,score,x,y,w,h,box_matches_gt"]
     for im, (s, det) in zip(images, scored):
         decision = "person" if s.score >= threshold else "empty"
@@ -290,7 +291,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("build-dpm", help="synthesize a part model from labeled faces")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cell-size", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULTS.dpm_seed)
+    p.add_argument("--seed", type=int, default=DPM_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_dpm)
 

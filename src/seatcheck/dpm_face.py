@@ -397,6 +397,10 @@ def build_synthetic_face_model(
     """
     if not faces or not negatives:
         raise DataError("need at least one face crop and one negative image")
+    if cell_size < 1:
+        raise DataError(f"cell size must be at least 1, got {cell_size!r}")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     def crop_hog(img: GrayImage, rect: Rect) -> np.ndarray:

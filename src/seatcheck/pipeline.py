@@ -7,8 +7,9 @@ file and metric CSVs byte-for-byte. Artifacts are written atomically at the
 end of the run: a failed stage leaves no partial model behind.
 
 Each stage has one definition here, shared by ``run_pipeline``,
-``score_image`` and the CLI. A test image takes the same per-image path
-(``describe`` then ``signature``) as an image scored with a saved model.
+``score_image`` and the CLI. ``run_pipeline`` scores its test split with
+``score_image`` and the model it is about to save, so a test image gets the
+score a deployed model gives it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .store import PipelineModel, atomic_write_text, save_model
 from .synthetic import LabeledImage, split
 
 DEFAULT_YIELD_GRID = tuple(q / 20.0 for q in range(1, 21))
+DPM_SEED = 5  # seed of the part model's random negative crops
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,6 @@ class PipelineConfig:
     vocab_seed: int = 3
     svm_seed: int = 4
     with_dpm: bool = False
-    dpm_seed: int = 5
-    yield_grid: tuple[float, ...] = DEFAULT_YIELD_GRID
 
     def __post_init__(self):
         if self.encoder not in ENCODER_KINDS:
@@ -79,6 +79,9 @@ class PipelineConfig:
         for name in ("k", "patch", "stride", "levels", "epochs", "vocab_sample"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("split_seed", "sample_seed", "vocab_seed", "svm_seed"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -134,20 +137,11 @@ def pool_descriptors(sets: list[DescriptorSet], cap: int | None = None, seed: in
     return pool
 
 
-def evaluate(classifier: LinearModel, x: np.ndarray, labels, ids, yield_grid=DEFAULT_YIELD_GRID):
-    """Score the rows of the signature matrix ``x`` against their labels.
-
-    Rows are scored one at a time, as ``score_image`` scores an image, so the
-    two give the same bits; a batched x @ w may round differently.
-
-    Returns (samples, accuracy, ROC curve, AUC, accuracy-vs-yield curve).
-    """
-    samples = tuple(
-        ScoredSample(id=i, score=score(classifier, v), label=y)
-        for v, y, i in zip(x, labels, ids)
-    )
+def evaluate(scores, labels, ids):
+    """(samples, accuracy, ROC curve, AUC, accuracy-vs-yield curve) of ``scores`` against ``labels``."""
+    samples = tuple(ScoredSample(id=i, score=s, label=y) for s, y, i in zip(scores, labels, ids))
     roc, auc = roc_curve(samples)
-    return samples, accuracy(samples), roc, auc, accuracy_vs_yield(samples, list(yield_grid))
+    return samples, accuracy(samples), roc, auc, accuracy_vs_yield(samples, list(DEFAULT_YIELD_GRID))
 
 
 def build_face_model(images: list[LabeledImage], **options) -> PartMixtureModel:
@@ -175,9 +169,9 @@ def _stage(name, fn, *args):
         raise StageError(name, e) from e
 
 
-def extract_all(images, geometry, pca=None) -> list[DescriptorSet]:
+def extract_all(images, geometry) -> list[DescriptorSet]:
     """``describe`` every image of ``images`` (LabeledImages) under ``geometry``."""
-    return [describe(im.image, geometry, pca, im.image_id) for im in images]
+    return [describe(im.image, geometry, source_id=im.image_id) for im in images]
 
 
 def fit_project_pca(train_sets, config):
@@ -216,10 +210,10 @@ def _vocab_stopping(quantizer, config) -> dict:
     }
 
 
-def encode_all(sets, quantizer, config, final_pca=None) -> np.ndarray:
+def encode_all(sets, quantizer, config) -> np.ndarray:
     """(N, D) matrix of the ``signature`` of each set under ``config.encoder``."""
     check_quantizer_kind(config.encoder, quantizer)
-    return np.stack([signature(d, quantizer, config.encoder, final_pca) for d in sets])
+    return np.stack([signature(d, quantizer, config.encoder) for d in sets])
 
 
 def _compress(train_x, config):
@@ -239,8 +233,12 @@ def train_classifier(train_x, train_labels, provenance, config) -> LinearModel:
     )
 
 
+def _score_all(model: PipelineModel, images) -> list[float]:
+    return [score_image(model, im.image) for im in images]
+
+
 def _dpm_comparison(train_images, test_images, config):
-    model = build_face_model(train_images, seed=config.dpm_seed)
+    model = build_face_model(train_images, seed=DPM_SEED)
     scored = detect_faces(model, test_images, config.levels, config.scale_factor)
     threshold, acc = best_threshold([s for s, _ in scored])
     return model, threshold, acc
@@ -283,22 +281,11 @@ def run_pipeline(
     )
     train_labels = [im.target for im in train_images]
     classifier = _stage("svm", train_classifier, train_x, train_labels, provenance, config)
-    # Test images take the per-image path score_image takes with the saved model.
-    test_x = _stage(
-        "encode", encode_all, _stage("extract", extract_all, test_images, config, pca),
-        quantizer, config, final_pca,
-    )
-    labels, ids = [im.target for im in test_images], [im.image_id for im in test_images]
-    samples, acc, roc, auc, yc = _stage(
-        "evaluate", evaluate, classifier, test_x, labels, ids, config.yield_grid
-    )
-
     dpm_model = dpm_acc = dpm_threshold = None
     if config.with_dpm:
         dpm_model, dpm_threshold, dpm_acc = _stage(
             "dpm", _dpm_comparison, train_images, test_images, config
         )
-
     model = PipelineModel(
         encoder_kind=config.encoder,
         k=config.k,
@@ -313,6 +300,10 @@ def run_pipeline(
         levels=config.levels,
         scale_factor=config.scale_factor,
     )
+
+    scores = _stage("score", _score_all, model, test_images)
+    labels, ids = [im.target for im in test_images], [im.image_id for im in test_images]
+    samples, acc, roc, auc, yc = _stage("evaluate", evaluate, scores, labels, ids)
 
     artifacts: tuple[str, ...] = ()
     if out_dir is not None:

@@ -51,6 +51,8 @@ class SyntheticSpec:
             raise DataError("synthetic images must be at least 64x64")
         if self.noise_sigma < 0:
             raise DataError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed!r}")
 
     @property
     def n_positive(self) -> int:

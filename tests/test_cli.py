@@ -20,6 +20,13 @@ def dataset_dir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def dpm_path(dataset_dir, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("dpm") / "dpm.json")
+    assert main(["build-dpm", "--manifest", str(dataset_dir / "manifest.csv"), "--out", path]) == 0
+    return path
+
+
 def test_staged_workflow(dataset_dir, tmp_path, capsys):
     manifest = str(dataset_dir / "manifest.csv")
     desc = str(tmp_path / "desc.bin")
@@ -245,22 +252,88 @@ def test_corpus_with_non_numeric_labels_exits_2(tmp_path, capsys):
     assert not (tmp_path / "svm.json").exists()
 
 
-@pytest.mark.parametrize("sample", ["-5", "0"])
-def test_sample_below_1_exits_2(tmp_path, capsys, sample):
+def six_descriptors(path):
+    """Write a descriptor corpus of one image with six 4-D descriptors to ``path``."""
     from seatcheck.dense_descriptors import DescriptorSet
 
     rng = np.random.default_rng(0)
-    desc = tmp_path / "d.bin"
     store.save_descriptor_sets([DescriptorSet(
         vectors=rng.normal(size=(6, 4)), x_norm=rng.uniform(size=6), y_norm=rng.uniform(size=6),
         scale_level=np.zeros(6, dtype=np.int64), source_id="img",
-    )], desc)
+    )], path)
+    return path
+
+
+@pytest.mark.parametrize("sample", ["-5", "0"])
+def test_sample_below_1_exits_2(tmp_path, capsys, sample):
+    desc = six_descriptors(tmp_path / "d.bin")
     rc = main(["train-pca", "--descriptors", str(desc), "--dim", "2", "--sample", sample,
                "--out", str(tmp_path / "pca.json")])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"sample must be at least 1, got {sample}" in err and "Traceback" not in err
     assert not (tmp_path / "pca.json").exists()
+
+
+def test_negative_synth_gen_seed_exits_2(tmp_path, capsys):
+    rc = main(["synth-gen", "--out", str(tmp_path / "data"), "--count", "6", "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flag", ["--split-seed", "--sample-seed", "--vocab-seed", "--svm-seed"])
+def test_negative_run_all_seed_exits_2(tmp_path, capsys, flag):
+    rc = main(["run-all", "--out", str(tmp_path / "run"), "--count", "20", "--width", "80",
+               "--height", "64", flag, "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')} must be non-negative, got -1" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_train_pca_sample_seed_exits_2(tmp_path, capsys):
+    desc = six_descriptors(tmp_path / "d.bin")
+    rc = main(["train-pca", "--descriptors", str(desc), "--dim", "2", "--sample", "3",
+               "--sample-seed", "-1", "--out", str(tmp_path / "pca.json")])
+    assert rc == 2
+    assert "sample_seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "pca.json").exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--seed", "-3", "seed must be non-negative, got -3"),
+    ("--cell-size", "0", "cell size must be at least 1, got 0"),
+    ("--cell-size", "-2", "cell size must be at least 1, got -2"),
+], ids=["seed-3", "cell-size0", "cell-size-2"])
+def test_build_dpm_bad_option_exits_2(dataset_dir, tmp_path, capsys, option, value, message):
+    rc = main(["build-dpm", "--manifest", str(dataset_dir / "manifest.csv"), option, value,
+               "--out", str(tmp_path / "dpm.json")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "dpm.json").exists()
+
+
+def test_detect_face_infinite_threshold_decides_every_seat_empty(dataset_dir, dpm_path, tmp_path, capsys):
+    manifest = str(dataset_dir / "manifest.csv")
+    out = tmp_path / "detections.csv"
+    assert main(["detect-face", "--manifest", manifest, "--model", dpm_path, "--threshold", "inf",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(r.split(",")[1] == "empty" for r in rows)
+    images = load_dataset(manifest)
+    empty = sum(im.label == "empty" for im in images) / len(images)
+    assert f"decision accuracy at threshold inf: {empty:.4f}" in capsys.readouterr().out
+
+
+def test_detect_face_nan_threshold_exits_2(dataset_dir, dpm_path, tmp_path, capsys):
+    manifest = str(dataset_dir / "manifest.csv")
+    rc = main(["detect-face", "--manifest", manifest, "--model", dpm_path, "--threshold", "nan",
+               "--out", str(tmp_path / "detections.csv")])
+    assert rc == 2
+    assert "threshold must be a number, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "detections.csv").exists()
 
 
 def test_em_cap_is_one_constant():

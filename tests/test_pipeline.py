@@ -20,7 +20,6 @@ SMALL = PipelineConfig(
     epochs=5,
     vocab_sample=4000,
     gmm_max_iter=25,
-    yield_grid=(0.5, 0.8, 1.0),
 )
 
 
@@ -33,7 +32,7 @@ def test_fisher_pipeline_end_to_end(corpus, tmp_path):
     result = run_pipeline(corpus, SMALL, out_dir=tmp_path)
     assert 0.0 <= result.accuracy <= 1.0
     assert 0.0 <= result.auc <= 1.0
-    assert len(result.yield_curve) == 3
+    assert len(result.yield_curve) == len(pipeline.DEFAULT_YIELD_GRID) == 20
     assert (tmp_path / "model.json").exists()
     assert (tmp_path / "roc.csv").read_text().startswith("fpr,tpr\n")
     assert (tmp_path / "yield.csv").read_text().startswith("yield,accuracy\n")
@@ -108,13 +107,27 @@ def test_dpm_comparison_included(corpus, tmp_path):
     assert len(model.dpm.mixtures) == 1
 
 
-@pytest.mark.parametrize("geometry", [{"stride": 8}, {"levels": 2}])
+@pytest.mark.parametrize(
+    "geometry",
+    [{"stride": 8}, {"levels": 2}, {"encoder": "bow"}, {"encoder": "vlad", "final_pca": 10}],
+)
 def test_saved_model_scores_with_its_training_geometry(corpus, tmp_path, geometry):
     result = run_pipeline(corpus, replace(SMALL, **geometry), out_dir=tmp_path)
     model = load_model(tmp_path / "model.json")
     by_id = {im.image_id: im for im in corpus}
     for sample in result.test_samples:
         assert score_image(model, by_id[sample.id].image) == sample.score
+
+
+def test_test_split_is_scored_by_score_image(corpus, monkeypatch):
+    def refuse(model, image):
+        raise DataError("bad test image")
+
+    monkeypatch.setattr(pipeline, "score_image", refuse)
+    with pytest.raises(StageError) as err:
+        run_pipeline(corpus, SMALL)
+    assert err.value.stage == "score"
+    assert str(err.value) == "[stage=score] bad test image"
 
 
 @pytest.mark.parametrize("seed, vocab_sample", [(7, None), (21, 40000)])
@@ -133,7 +146,8 @@ def test_metrics_count_the_vocabulary_sample(tmp_path, seed, vocab_sample):
 @pytest.mark.parametrize(
     "bad",
     [{"encoder": "foo"}, {"k": 0}, {"patch": 0}, {"stride": 0}, {"levels": 0}, {"epochs": 0},
-     {"vocab_sample": 0}],
+     {"vocab_sample": 0}, {"split_seed": -1}, {"sample_seed": -1}, {"vocab_seed": -1},
+     {"svm_seed": -1}],
 )
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(DataError):

@@ -57,6 +57,8 @@ def test_spec_validation():
         SyntheticSpec(count=10, width=32)
     with pytest.raises(DataError):
         SyntheticSpec(count=10, noise_sigma=-1.0)
+    with pytest.raises(DataError):
+        SyntheticSpec(count=10, seed=-1)
 
 
 def test_labeled_image_invariants():
