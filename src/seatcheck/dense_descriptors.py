@@ -40,6 +40,9 @@ class DescriptorSet:
 
     ``vectors`` is (T, dim); positions are patch centers divided by the
     width/height of the level they came from, so they always lie in [0, 1].
+    Rows are kept in (scale_level, y_norm, x_norm) order, the order
+    extract_dense emits: a set given in that order is stored as given, any
+    other is sorted stably, so rows sharing a position keep their given order.
     """
 
     vectors: np.ndarray
@@ -66,6 +69,12 @@ class DescriptorSet:
             object.__setattr__(self, name, pos)
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "scale_level", np.asarray(self.scale_level, dtype=np.int64))
+        keys = (self.x_norm, self.y_norm, self.scale_level)  # lexsort: last key is primary
+        (x0, x1), (y0, y1), (l0, l1) = ((a[:-1], a[1:]) for a in keys)
+        if not ((l0 < l1) | ((l0 == l1) & ((y0 < y1) | ((y0 == y1) & (x0 <= x1))))).all():
+            order = np.lexsort(keys)
+            for name in ("vectors", "x_norm", "y_norm", "scale_level"):
+                object.__setattr__(self, name, getattr(self, name)[order])
 
     def __len__(self) -> int:
         return self.vectors.shape[0]

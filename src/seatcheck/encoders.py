@@ -11,10 +11,10 @@ float64 array (the image signature) out.
   residuals, g_i = (1 / (T * sqrt(w_i))) * sum_t alpha_t(i) (x_t - mu_i) / sigma_i,
   concatenated over components, then power- and L2-normalized.
 
-VLAD and FV sums run over descriptors in a canonical order, so encodings
-are bit-identical under any permutation of the input set: positional
-(scale_level, y_norm, x_norm) order, with a lexicographic fallback on the
-vector components only where two descriptors share a position.
+VLAD and FV sums run over ``ds.vectors`` in the (scale_level, y_norm,
+x_norm) order that DescriptorSet keeps its rows in, so when no two
+descriptors share a position, encodings are bit-identical under any
+permutation of the input set.
 
 What produced a signature (encoder kind, K, d and any final PCA) is one
 ``Provenance`` per encoded corpus or model, checked once, not per image.
@@ -59,6 +59,9 @@ class Provenance:
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise DataError(f"unknown encoder kind {self.kind!r}")
+        dims = (self.K, self.d) if self.compressed_dim is None else (self.K, self.d, self.compressed_dim)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in dims):
+            raise DataError(f"provenance K, d and compressed_dim must be integers >= 1, got {dims!r}")
 
     @property
     def length(self) -> int:
@@ -91,29 +94,6 @@ def l2_or_zero(v: np.ndarray) -> np.ndarray:
     """``v`` scaled to unit L2 norm; the all-zero vector maps to itself."""
     norm = np.linalg.norm(v)
     return v / norm if norm != 0.0 else v
-
-
-def _in_positional_order(ds: DescriptorSet) -> bool:
-    """Rows strictly ascend in (scale_level, y_norm, x_norm), as extract_dense emits them."""
-    (l0, l1), (y0, y1), (x0, x1) = ((a[:-1], a[1:]) for a in (ds.scale_level, ds.y_norm, ds.x_norm))
-    return bool(((l0 < l1) | ((l0 == l1) & ((y0 < y1) | ((y0 == y1) & (x0 < x1))))).all())
-
-
-def _canonical_order(ds: DescriptorSet) -> np.ndarray:
-    """Sort rows by (scale_level, y_norm, x_norm); break position ties by vector."""
-    if _in_positional_order(ds):
-        return np.arange(len(ds))
-    keys = (ds.x_norm, ds.y_norm, ds.scale_level)  # lexsort: last key is primary
-    order = np.lexsort(keys)
-    pos = np.column_stack(keys)[order]
-    if (pos[1:] == pos[:-1]).all(axis=1).any():
-        order = np.lexsort((*ds.vectors.T[::-1], *keys))
-    return order
-
-
-def _canonical_vectors(ds: DescriptorSet) -> np.ndarray:
-    """ds.vectors in canonical order, without a copy when already in it."""
-    return ds.vectors if _in_positional_order(ds) else ds.vectors[_canonical_order(ds)]
 
 
 def _check_nonempty(ds: DescriptorSet, model_d: int) -> None:
@@ -157,7 +137,7 @@ def encode_bow(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) ->
 def encode_vlad(ds: DescriptorSet, cb: KmeansCodebook, normalize: bool = True) -> np.ndarray:
     """VLAD: accumulate x_t - mu_i over descriptors nearest to word i."""
     _check_nonempty(ds, cb.d)
-    x = _canonical_vectors(ds)
+    x = ds.vectors
     words = assign_nearest(cb, x)
     acc = np.zeros((cb.K, cb.d))
     np.add.at(acc, words, x - cb.centroids[words])
@@ -175,7 +155,7 @@ def encode_fv(ds: DescriptorSet, gmm: GmmModel, normalize: bool = True) -> np.nd
     the posterior-weighted whitened residual sum.
     """
     _check_nonempty(ds, gmm.d)
-    x = _canonical_vectors(ds)
+    x = ds.vectors
     t = x.shape[0]
     alpha = posteriors(gmm, x)  # (T, K)
     s0 = alpha.sum(axis=0)

@@ -24,7 +24,7 @@ TRUE_POSITIVE_IOU = 0.6
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle in pixel coordinates with non-negative extents."""
+    """Axis-aligned rectangle in finite pixel coordinates with non-negative extents."""
 
     x: float
     y: float
@@ -32,6 +32,8 @@ class Rect:
     h: float
 
     def __post_init__(self):
+        if not np.isfinite((self.x, self.y, self.w, self.h)).all():
+            raise DataError("rectangle coordinates must be finite")
         if self.w < 0 or self.h < 0:
             raise DataError("rectangle extents must be non-negative")
 

@@ -52,7 +52,7 @@ class PipelineConfig:
     encoder: str = "fisher"  # bow | vlad | fisher
     k: int = 32
     pca_dim: int | None = 64
-    final_pca: int | None = None  # e.g. 512 to compress FV/VLAD signatures
+    final_pca: int | None = None  # e.g. 256 to compress FV/VLAD signatures; at most the training image count
     patch: int = DEFAULT_PATCH
     stride: int = DEFAULT_STRIDE
     levels: int = DEFAULT_LEVELS

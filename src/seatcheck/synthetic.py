@@ -49,8 +49,8 @@ class SyntheticSpec:
             raise DataError("positive_fraction must lie strictly between 0 and 1")
         if self.width < 64 or self.height < 64:
             raise DataError("synthetic images must be at least 64x64")
-        if self.noise_sigma < 0:
-            raise DataError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < np.inf:  # NaN fails both
+            raise DataError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma!r}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed!r}")
 
@@ -265,10 +265,9 @@ def load_dataset(manifest_path: str | Path) -> list[LabeledImage]:
         box = None
         if any(f != "" for f in box_fields):
             try:
-                x, y, w, h = (float(f) for f in box_fields)
-            except ValueError as e:
+                box = Rect(*(float(f) for f in box_fields))
+            except (ValueError, DataError) as e:
                 raise DataError(f"manifest line {lineno}: bad box: {e}") from e
-            box = Rect(x=x, y=y, w=w, h=h)
         try:
             img = load_pgm(root / path)
         except DataError as e:

@@ -252,6 +252,21 @@ def test_corpus_with_non_numeric_labels_exits_2(tmp_path, capsys):
     assert not (tmp_path / "svm.json").exists()
 
 
+def test_corpus_with_compressed_dim_0_exits_2(tmp_path, capsys):
+    # a (3, 0) signature matrix would train a zero-weight classifier
+    header = {
+        "encoder_kind": "fisher", "k": 2, "d": 2, "count": 3, "length": 0,
+        "compressed_dim": 0, "ids": ["a", "b", "c"], "labels": [1, -1, 1],
+    }
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(store.CORPUS_MAGIC + (json.dumps(header) + "\n").encode())
+    rc = main(["train-svm", "--corpus", str(corpus), "--out", str(tmp_path / "svm.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "integers >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "svm.json").exists()
+
+
 def six_descriptors(path):
     """Write a descriptor corpus of one image with six 4-D descriptors to ``path``."""
     from seatcheck.dense_descriptors import DescriptorSet
@@ -293,6 +308,23 @@ def test_negative_run_all_seed_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_synth_gen_noise_sigma_exits_2(tmp_path, capsys, sigma):
+    rc = main(["synth-gen", "--out", str(tmp_path / "data"), "--count", "6", "--noise-sigma", sigma])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"noise_sigma must be finite and non-negative, got {sigma}" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_nan_run_all_noise_sigma_exits_2(tmp_path, capsys):
+    rc = main(["run-all", "--out", str(tmp_path / "run"), "--count", "20", "--width", "80",
+               "--height", "64", "--noise-sigma", "nan"])
+    assert rc == 2
+    assert "noise_sigma must be finite and non-negative, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_negative_train_pca_sample_seed_exits_2(tmp_path, capsys):
     desc = six_descriptors(tmp_path / "d.bin")
     rc = main(["train-pca", "--descriptors", str(desc), "--dim", "2", "--sample", "3",
@@ -312,6 +344,22 @@ def test_build_dpm_bad_option_exits_2(dataset_dir, tmp_path, capsys, option, val
                "--out", str(tmp_path / "dpm.json")])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "dpm.json").exists()
+
+
+def test_build_dpm_on_a_nan_face_box_exits_2(dataset_dir, tmp_path, capsys):
+    # the same images, read through absolute paths, with the first face box NaN
+    header, *rows = (dataset_dir / "manifest.csv").read_text().splitlines()
+    first = next(i for i, r in enumerate(rows) if ",person," in r)
+    rows = [",".join([str(dataset_dir / r.split(",")[0]), *r.split(",")[1:]]) for r in rows]
+    rows[first] = ",".join(rows[first].split(",")[:2] + ["nan"] * 4)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join([header, *rows]) + "\n")
+    rc = main(["build-dpm", "--manifest", str(manifest), "--out", str(tmp_path / "dpm.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"manifest line {first + 2}: bad box: rectangle coordinates must be finite" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "dpm.json").exists()
 
 

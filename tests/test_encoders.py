@@ -8,8 +8,6 @@ from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.encoders import (
     BOW_REGIONS,
     Provenance,
-    _canonical_order,
-    _canonical_vectors,
     _grid_index,
     encode_bow,
     encode_fv,
@@ -303,11 +301,12 @@ def test_canonical_order_unique_positions_is_positional():
     x, y, lvl = grid_positions()
     assert len(set(zip(x, y, lvl))) == len(x)
     perm = rng.permutation(len(x))
-    ds_p = DescriptorSet(
-        vectors=rng.normal(size=(len(x), 4)), x_norm=x[perm], y_norm=y[perm], scale_level=lvl[perm]
-    )
+    vecs = rng.normal(size=(len(x), 4))
+    ds_p = DescriptorSet(vectors=vecs[perm], x_norm=x[perm], y_norm=y[perm], scale_level=lvl[perm])
     # grid_positions emits (level, y, x) order, as dense extraction does
-    assert np.array_equal(perm[_canonical_order(ds_p)], np.arange(len(x)))
+    assert np.array_equal(ds_p.vectors, vecs)
+    assert np.array_equal(ds_p.x_norm, x) and np.array_equal(ds_p.y_norm, y)
+    assert np.array_equal(ds_p.scale_level, lvl)
     permuted_encodings_match(x, y, lvl, rng)
 
 
@@ -315,38 +314,29 @@ def test_canonical_order_keeps_extraction_order_without_a_copy():
     x, y, lvl = grid_positions()
     vecs = np.random.default_rng(23).normal(size=(len(x), 4))
     ds = DescriptorSet(vectors=vecs, x_norm=x, y_norm=y, scale_level=lvl)
-    assert np.array_equal(_canonical_order(ds), np.arange(len(x)))
-    assert _canonical_vectors(ds) is ds.vectors
-    # one swapped pair leaves (level, y, x) order and must be sorted back
+    assert ds.vectors is vecs and ds.x_norm is x and ds.y_norm is y and ds.scale_level is lvl
+    # one swapped pair leaves (level, y, x) order; all four arrays are sorted back together
     swap = np.arange(len(x))
     swap[[40, 41]] = swap[[41, 40]]
     ds_s = DescriptorSet(vectors=vecs[swap], x_norm=x[swap], y_norm=y[swap], scale_level=lvl[swap])
-    assert np.array_equal(_canonical_order(ds_s), swap)
-    assert np.array_equal(_canonical_vectors(ds_s), vecs)
+    assert np.array_equal(ds_s.vectors, vecs)
+    assert np.array_equal(ds_s.x_norm, x) and np.array_equal(ds_s.y_norm, y)
+    assert np.array_equal(ds_s.scale_level, lvl)
 
 
-def test_canonical_order_sorted_duplicates_still_break_ties_by_vector():
-    # positions ascend but not strictly: the fast path must not apply, and
-    # rows at one position are ordered by their vectors
-    x, y, lvl = (np.repeat(a[:5], 3) for a in grid_positions())
-    vecs = np.repeat(np.arange(15.0)[::-1, None], 2, axis=1)
-    ds = DescriptorSet(vectors=vecs, x_norm=x, y_norm=y, scale_level=lvl)
-    order = _canonical_order(ds)
-    assert np.array_equal(order, (np.arange(15).reshape(5, 3)[:, ::-1]).ravel())
-    assert np.array_equal(_canonical_vectors(ds), vecs[order])
-
-
-def test_canonical_order_colliding_positions_falls_back_to_vectors():
-    rng = np.random.default_rng(22)
+def test_rows_sharing_a_position_keep_their_given_order():
     x, y, lvl = grid_positions()
-    pick = rng.integers(0, 6, size=300)  # 300 descriptors on 6 positions
-    x, y, lvl = x[pick], y[pick], lvl[pick]
-    vecs = rng.normal(size=(300, 4))
-    ds = DescriptorSet(vectors=vecs, x_norm=x, y_norm=y, scale_level=lvl)
-    order = _canonical_order(ds)
-    keys = np.column_stack([lvl, y, x, vecs])[order]
-    assert all(tuple(a) < tuple(b) for a, b in zip(keys[:-1], keys[1:]))
-    permuted_encodings_match(x, y, lvl, rng)
+    # ascending positions, each repeated: already in order, so kept as given
+    vecs = np.repeat(np.arange(15.0)[::-1, None], 2, axis=1)
+    ds = DescriptorSet(vectors=vecs, x_norm=np.repeat(x[:5], 3), y_norm=np.repeat(y[:5], 3),
+                       scale_level=np.repeat(lvl[:5], 3))
+    assert ds.vectors is vecs
+    # shuffled: sorted by position, and within a position in the order given
+    pick = np.random.default_rng(22).permutation(np.repeat(np.arange(6), 3))
+    vecs = np.repeat(np.arange(18.0)[:, None], 2, axis=1)
+    ds = DescriptorSet(vectors=vecs, x_norm=x[pick], y_norm=y[pick], scale_level=lvl[pick])
+    assert np.array_equal(ds.vectors, vecs[np.argsort(pick, kind="stable")])
+    assert np.array_equal(ds.x_norm, x[np.sort(pick)]) and np.array_equal(ds.y_norm, y[np.sort(pick)])
 
 
 def test_power_l2_normalize():
@@ -401,6 +391,16 @@ def test_provenance_invariants():
     c = Provenance("fisher", 2, 3, compressed_dim=5)
     assert c.length == 5
     assert c.fingerprint == "fisher:K=2:d=3:pca=5"
+    assert Provenance("vlad", np.int64(2), 3, np.int64(4)).length == 4
+
+
+@pytest.mark.parametrize("K, d, compressed", [
+    (0, 3, None), (-2, 64, None), (2, 0, None), (2, 3, 0), (2, 3, -1),
+    (2.0, 3, None), (2, 3.5, None), (True, 3, None), (2, True, None), (2, 3, True), ("2", 3, None),
+])
+def test_provenance_rejects_sizes_below_1_and_non_integers(K, d, compressed):
+    with pytest.raises(DataError, match="integers >= 1"):
+        Provenance("bow", K, d, compressed)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

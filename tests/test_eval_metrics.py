@@ -61,6 +61,12 @@ def tie_heavy_samples(rng):
     return [sample(i, float(s), int(l)) for i, (s, l) in enumerate(zip(scores, labels))]
 
 
+@pytest.mark.parametrize("coords", [(np.nan, 0, 1, 1), (0, np.inf, 1, 1), (0, 0, np.nan, 1), (0, 0, 1, np.inf)])
+def test_rect_rejects_non_finite_coordinates(coords):
+    with pytest.raises(DataError, match="finite"):
+        Rect(*coords)
+
+
 def test_overlap_identical_disjoint_exact_third():
     a = Rect(0, 0, 10, 10)
     assert overlap(a, a) == 1.0

@@ -55,8 +55,9 @@ def test_spec_validation():
         SyntheticSpec(count=10, positive_fraction=0.0)
     with pytest.raises(DataError):
         SyntheticSpec(count=10, width=32)
-    with pytest.raises(DataError):
-        SyntheticSpec(count=10, noise_sigma=-1.0)
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(DataError, match="noise_sigma"):
+            SyntheticSpec(count=10, noise_sigma=sigma)
     with pytest.raises(DataError):
         SyntheticSpec(count=10, seed=-1)
 
@@ -140,6 +141,10 @@ def test_load_dataset_rejects_malformed(tmp_path):
     bad.write_text("path,label,x,y,w,h\nimg.pgm,person,1,2\n")
     with pytest.raises(DataError):
         load_dataset(bad)
+    for box in ("nan,nan,nan,nan", "1,2,inf,4", "1,2,-3,4"):
+        bad.write_text(f"path,label,x,y,w,h\nimg.pgm,person,{box}\n")
+        with pytest.raises(DataError, match="manifest line 2: bad box"):
+            load_dataset(bad)
 
 
 def test_load_dataset_names_the_line_of_a_corrupt_image(tmp_path):
