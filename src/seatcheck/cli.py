@@ -149,7 +149,6 @@ def cmd_evaluate(args) -> int:
     check_trained_on(clf, provenance)
     _, acc, roc, auc, yc = evaluate([score(clf, v) for v in x], labels, ids)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     store.atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))
     store.atomic_write_text(out_dir / "yield.csv", curve_to_csv(yc))
     print(f"accuracy {acc:.4f}  auc {auc:.4f}  curves -> {out_dir}")
@@ -215,18 +214,22 @@ def cmd_run_all(args) -> int:
     return 0
 
 
+def _add_corpus_options(p, seed: int) -> None:
+    """The SyntheticSpec options of synth-gen and run-all, with SyntheticSpec's defaults."""
+    p.add_argument("--count", type=int, default=400)
+    for f in fields(SyntheticSpec):
+        if f.name not in ("count", "seed"):
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
+    p.add_argument("--seed", type=int, default=seed)
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="seatcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-gen", help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=400)
-    p.add_argument("--positive-fraction", type=float, default=0.5)
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=96)
-    p.add_argument("--noise-sigma", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    _add_corpus_options(p, seed=0)
     p.set_defaults(fn=cmd_synth_gen)
 
     p = sub.add_parser("extract", help="dense descriptors for every manifest image")
@@ -241,7 +244,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("train-pca", help="fit descriptor PCA")
     p.add_argument("--descriptors", required=True)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, default=DEFAULTS.pca_dim)
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--sample-seed", type=int, default=DEFAULTS.sample_seed)
     p.add_argument("--out", required=True)
@@ -308,12 +311,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("run-all", help="full experiment: data -> model -> metrics")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", help="use this corpus instead of generating one")
-    p.add_argument("--count", type=int, default=400)
-    p.add_argument("--positive-fraction", type=float, default=0.5)
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=96)
-    p.add_argument("--noise-sigma", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=7)
+    _add_corpus_options(p, seed=7)
     p.add_argument("--encoder", choices=ENCODER_KINDS, default=DEFAULTS.encoder)
     p.add_argument("--k", type=int, default=DEFAULTS.k)
     p.add_argument("--pca-dim", type=int, default=DEFAULTS.pca_dim)

@@ -235,7 +235,7 @@ def build_pyramid(
     factors = [1.0]
     for l in range(1, levels):
         h, w = sizes[l]
-        imgs.append(GrayImage(np.clip(_bilinear_resize(img.pixels, h, w), 0.0, 1.0)))
+        imgs.append(resize_bilinear(img, h, w))
         factors.append(factor**l)
     return ScalePyramid(levels=tuple(imgs), scale_factors=tuple(factors))
 

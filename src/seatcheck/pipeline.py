@@ -76,7 +76,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.encoder not in ENCODER_KINDS:
             raise DataError(f"encoder must be one of {ENCODER_KINDS}, got {self.encoder!r}")
-        for name in ("k", "patch", "stride", "levels", "epochs", "vocab_sample"):
+        for name in ("k", "patch", "stride", "levels", "epochs", "vocab_sample",
+                     "gmm_max_iter", "kmeans_max_iter"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("split_seed", "sample_seed", "vocab_seed", "svm_seed"):
@@ -246,15 +247,12 @@ def _dpm_comparison(train_images, test_images, config):
 
 def _persist(out_dir: Path, model: PipelineModel, roc, yc, metrics: dict) -> tuple[str, ...]:
     """Write model.json, the two curves, table.csv and metrics.json; return their paths."""
-    try:
-        save_model(model, out_dir / "model.json")
-        atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))
-        atomic_write_text(out_dir / "yield.csv", curve_to_csv(yc))
-        table = accuracy_table([(metrics["encoder"], metrics["k"], metrics["accuracy"])])
-        atomic_write_text(out_dir / "table.csv", table)
-        atomic_write_text(out_dir / "metrics.json", json.dumps(metrics, sort_keys=True, indent=2) + "\n")
-    except OSError as e:
-        raise SeatcheckError(str(e)) from e
+    save_model(model, out_dir / "model.json")
+    atomic_write_text(out_dir / "roc.csv", curve_to_csv(roc))
+    atomic_write_text(out_dir / "yield.csv", curve_to_csv(yc))
+    table = accuracy_table([(metrics["encoder"], metrics["k"], metrics["accuracy"])])
+    atomic_write_text(out_dir / "table.csv", table)
+    atomic_write_text(out_dir / "metrics.json", json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     names = ("model.json", "roc.csv", "yield.csv", "table.csv", "metrics.json")
     return tuple(str(out_dir / n) for n in names)
 

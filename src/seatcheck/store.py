@@ -8,7 +8,7 @@ are nested lists, making files diffable and byte-deterministic.
 Bulk data (descriptor sets, encoded corpora) uses a one-line JSON header
 followed by raw little-endian float64, which is compact, deterministic,
 and trivially seekable. All writes go through a temp-file rename so a
-failed run never leaves a partial artifact.
+failed run never leaves a partial artifact; a failed write raises DataError.
 """
 
 from __future__ import annotations
@@ -40,17 +40,20 @@ CORPUS_MAGIC = b"SCEC1\n"
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` by temp file and rename; any OSError becomes a DataError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e}") from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

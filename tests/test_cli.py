@@ -160,6 +160,63 @@ def test_run_all_smoke(tmp_path, capsys):
     assert (out / "metrics.json").exists()
 
 
+@pytest.fixture(scope="module")
+def small_stages(tmp_path_factory):
+    """A 6-image corpus and each staged artifact made from it, by the CLI."""
+    d = tmp_path_factory.mktemp("small")
+    files = {"manifest": "manifest.csv", "desc": "desc.bin", "pca": "pca.json", "gmm": "gmm.json",
+             "corpus": "corpus.bin", "svm": "svm.json", "dpm": "dpm.json"}
+    paths = {"dir": str(d), **{name: str(d / f) for name, f in files.items()}}
+    for command in (
+        "synth-gen --out {dir} --count 6 --width 80 --height 64 --seed 7",
+        "extract --manifest {manifest} --out {desc}",
+        "train-pca --descriptors {desc} --dim 4 --out {pca}",
+        "train-gmm --descriptors {desc} --pca {pca} --k 2 --out {gmm}",
+        "encode --descriptors {desc} --pca {pca} --encoder fisher --vocab {gmm} --manifest {manifest} --out {corpus}",
+        "train-svm --corpus {corpus} --epochs 2 --out {svm}",
+        "build-dpm --manifest {manifest} --out {dpm}",
+    ):
+        assert main(command.format(**paths).split()) == 0, command
+    return paths
+
+
+# Each writing command but for the path of its output, which goes last.
+WRITING_COMMANDS = {
+    "synth-gen": "synth-gen --count 6 --out",
+    "extract": "extract --manifest {manifest} --out",
+    "train-pca": "train-pca --descriptors {desc} --dim 4 --out",
+    "train-codebook": "train-codebook --descriptors {desc} --k 2 --out",
+    "train-gmm": "train-gmm --descriptors {desc} --k 2 --out",
+    "encode": "encode --descriptors {desc} --pca {pca} --encoder fisher --vocab {gmm} --out",
+    "train-svm": "train-svm --corpus {corpus} --epochs 2 --out",
+    "evaluate": "evaluate --corpus {corpus} --classifier {svm} --out-dir",
+    "build-dpm": "build-dpm --manifest {manifest} --out",
+    "detect-face": "detect-face --manifest {manifest} --model {dpm} --out",
+    "run-all": "run-all --count 30 --width 80 --height 64 --seed 11 --k 4 --pca-dim 12 --epochs 5 "
+               "--vocab-sample 3000 --out",
+}
+
+
+@pytest.mark.parametrize("command", list(WRITING_COMMANDS))
+def test_output_under_a_regular_file_exits_2(small_stages, tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(WRITING_COMMANDS[command].format(**small_stages).split() + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cap, value", [("train-codebook", "kmeans_max_iter", "0"),
+                                                 ("train-gmm", "gmm_max_iter", "-2")])
+def test_iteration_cap_below_1_exits_2(small_stages, tmp_path, capsys, command, cap, value):
+    out = tmp_path / "vocab.json"
+    rc = main([command, "--descriptors", small_stages["desc"], "--k", "2", "--max-iter", value,
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{cap} must be positive, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as e:
         main(["extract"])  # missing required args

@@ -98,6 +98,15 @@ def test_failing_stage_is_tagged_and_leaves_no_model(corpus, tmp_path):
     assert not (out / "model.json").exists()  # failure atomicity
 
 
+def test_unwritable_out_dir_is_a_persist_data_error(corpus, tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(StageError) as err:
+        run_pipeline(corpus, SMALL, out_dir=tmp_path / "file" / "run")
+    assert err.value.stage == "persist"
+    assert isinstance(err.value.cause, DataError)
+    assert str(err.value).startswith("[stage=persist] cannot write ")
+
+
 def test_dpm_comparison_included(corpus, tmp_path):
     result = run_pipeline(corpus, replace(SMALL, with_dpm=True), out_dir=tmp_path)
     assert result.dpm_accuracy is not None
@@ -147,7 +156,7 @@ def test_metrics_count_the_vocabulary_sample(tmp_path, seed, vocab_sample):
     "bad",
     [{"encoder": "foo"}, {"k": 0}, {"patch": 0}, {"stride": 0}, {"levels": 0}, {"epochs": 0},
      {"vocab_sample": 0}, {"split_seed": -1}, {"sample_seed": -1}, {"vocab_seed": -1},
-     {"svm_seed": -1}],
+     {"svm_seed": -1}, {"gmm_max_iter": 0}, {"kmeans_max_iter": -1}],
 )
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(DataError):

@@ -20,6 +20,7 @@ from seatcheck.store import (
     DESC_MAGIC,
     MODEL_FORMAT,
     PipelineModel,
+    atomic_write_bytes,
     corpus_to_csv,
     load_classifier,
     load_corpus,
@@ -88,6 +89,24 @@ def test_model_round_trip_is_lossless(tmp_path):
     # byte-deterministic serialization
     save_model(back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_saving_under_a_regular_file_is_a_data_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "model.json"
+    with pytest.raises(DataError) as err:
+        save_model(small_model(np.random.default_rng(0)), path)
+    assert str(err.value).startswith(f"cannot write {path}: ")
+    assert isinstance(err.value.__cause__, OSError)
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "model.json"
+    target.mkdir()  # a file cannot replace a directory
+    with pytest.raises(DataError, match="cannot write"):
+        atomic_write_bytes(target, b"data")
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_model_validation_rejects_mismatches():
