@@ -38,7 +38,7 @@ from .eval_metrics import (
     overlap,
     roc_curve,
 )
-from .imagecore import GradientField, GrayImage, ScalePyramid, build_pyramid, compute_gradients
+from .imagecore import GrayImage, ScalePyramid, build_pyramid, compute_gradients
 from .linear_classifier import LinearModel, score, train_svm
 from .pca_reduce import PcaModel, fit_pca, project
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline, score_image
@@ -52,7 +52,6 @@ __all__ = [
     "Edge",
     "EvalCurve",
     "GmmModel",
-    "GradientField",
     "GrayImage",
     "HogFeatureMap",
     "KmeansCodebook",

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import store
 from .codebooks import gmm_debug_dump
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, descriptors_to_csv
+from .dpm_face import FACE_CELL_SIZE
 from .encoders import ENCODER_KINDS, Provenance
 from .errors import DataError, NumericalError, SeatcheckError, StageError
 from .eval_metrics import best_threshold, curve_to_csv, is_true_positive
@@ -293,7 +294,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("build-dpm", help="synthesize a part model from labeled faces")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--cell-size", type=int, default=3)
+    p.add_argument("--cell-size", type=int, default=FACE_CELL_SIZE)
     p.add_argument("--seed", type=int, default=DPM_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_dpm)

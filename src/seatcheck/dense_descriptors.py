@@ -99,8 +99,8 @@ def extract_dense(
     w1d = _cell_weights(N_CELLS, patch, patch / N_CELLS)
     all_vec, all_x, all_y, all_lvl = [], [], [], []
     for l, lv in enumerate(pyr.levels):
-        g = compute_gradients(lv)
-        planes = _orientation_planes(g.magnitude, g.orientation, N_ORI_BINS, 2.0 * np.pi)  # (H, W, 8)
+        mag, ori = compute_gradients(lv)
+        planes = _orientation_planes(mag, ori, N_ORI_BINS, 2.0 * np.pi)  # (H, W, 8)
         # pool x, then y: (H, nx, 8, cx), then (ny, nx, 8, cx, cy)
         rows = sliding_window_view(planes, patch, axis=1)[:, ::stride] @ w1d.T
         cells = sliding_window_view(rows, patch, axis=0)[::stride] @ w1d.T

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import DataError, is_integer
 from .eval_metrics import Rect
 from .imagecore import (
     DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR, GrayImage, _cell_weights, _normalize_descriptors, _orientation_planes,
@@ -48,7 +48,6 @@ class HogFeatureMap:
     """Block-normalized cell histograms: (cells_y, cells_x, bins), values in [0, 1]."""
 
     features: np.ndarray
-    cell_size: int
 
     def __post_init__(self):
         f = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -166,8 +165,10 @@ class PartMixtureModel:
             raise DataError("model needs at least one mixture")
         if len(self.biases) != len(self.mixtures):
             raise DataError("one bias per mixture required")
-        if not all(math.isfinite(b) for b in self.biases) or not self.cell_size >= 1:
-            raise DataError("biases must be finite and cell_size at least 1")
+        if not all(math.isfinite(b) for b in self.biases):
+            raise DataError("biases must be finite")
+        if not all(is_integer(v) and v >= 1 for v in (self.cell_size, self.bins)):
+            raise DataError(f"cell_size and bins must be integers >= 1, got {(self.cell_size, self.bins)!r}")
         for tree in self.mixtures:
             for t in tree.templates:
                 if t.shape[2] != self.bins:
@@ -200,8 +201,8 @@ def compute_hog(img: GrayImage, cell_size: int = DEFAULT_CELL_SIZE, bins: int = 
         raise DataError(
             f"image {img.width}x{img.height} yields {cells_x}x{cells_y} cells; need >= 3x3"
         )
-    g = compute_gradients(img)
-    planes = _orientation_planes(g.magnitude, g.orientation, bins, np.pi)  # (H, W, bins)
+    mag, ori = compute_gradients(img)
+    planes = _orientation_planes(mag, ori, bins, np.pi)  # (H, W, bins)
     wy = _cell_weights(cells_y, img.height, cell_size)
     wx = _cell_weights(cells_x, img.width, cell_size)
     # pool y, then x: (cells_y, W, bins), then (cells_y, cells_x, bins)
@@ -216,7 +217,7 @@ def compute_hog(img: GrayImage, cell_size: int = DEFAULT_CELL_SIZE, bins: int = 
         for dx in (0, 1):
             acc[dy : dy + nby, dx : dx + nbx] += normed[:, :, :, dy, dx]
             cnt[dy : dy + nby, dx : dx + nbx] += 1.0
-    return HogFeatureMap(features=acc / cnt, cell_size=cell_size)
+    return HogFeatureMap(acc / cnt)
 
 
 # --- scoring and inference ---------------------------------------------------
@@ -379,12 +380,14 @@ def detect_occupancy(
 # end of the synthetic face-size range: detection pyramids only downscale, so
 # the template must fit the smallest faces at level 0.
 FACE_PATCH = 24
+# HoG cell side of the face model: a FACE_PATCH crop gives 8x8 cells.
+FACE_CELL_SIZE = 3
 
 
 def build_synthetic_face_model(
     faces: list[tuple[GrayImage, Rect]],
     negatives: list[GrayImage],
-    cell_size: int = 3,
+    cell_size: int = FACE_CELL_SIZE,
     bins: int = DEFAULT_BINS,
     seed: int = 0,
 ) -> PartMixtureModel:

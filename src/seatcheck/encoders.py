@@ -28,7 +28,7 @@ import numpy as np
 
 from .codebooks import GmmModel, KmeansCodebook, assign_nearest, posteriors
 from .dense_descriptors import DescriptorSet
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, is_integer
 
 ENCODER_KINDS = ("bow", "vlad", "fisher")
 
@@ -60,7 +60,7 @@ class Provenance:
         if self.kind not in ENCODER_KINDS:
             raise DataError(f"unknown encoder kind {self.kind!r}")
         dims = (self.K, self.d) if self.compressed_dim is None else (self.K, self.d, self.compressed_dim)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in dims):
+        if not all(is_integer(v) and v >= 1 for v in dims):
             raise DataError(f"provenance K, d and compressed_dim must be integers >= 1, got {dims!r}")
 
     @property

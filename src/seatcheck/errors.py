@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all seatcheck modules.
+"""Exception hierarchy shared by all seatcheck modules, and the integer test
+that the validators use before raising DataError.
 
 The CLI maps these onto process exit codes: DataError -> 2,
 NumericalError -> 3 (usage errors exit 1).
 """
+
+import numpy as np
+
+
+def is_integer(v) -> bool:
+    """A Python or numpy integer; a bool, a float or anything else is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 class SeatcheckError(Exception):

@@ -37,12 +37,6 @@ NORM_FLOOR = 1e-10
 CLIP_THRESHOLD = 0.2
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class GrayImage:
     """Single-channel intensity raster with values in [0, 1].
@@ -53,7 +47,8 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = _frozen(self.pixels)
+        px = np.ascontiguousarray(self.pixels, dtype=np.float64)
+        px.flags.writeable = False
         if px.ndim != 2:
             raise DataError(f"expected a 2-D pixel raster, got ndim={px.ndim}")
         if px.size == 0:
@@ -75,20 +70,6 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class GradientField:
-    """Per-pixel gradient magnitude and orientation (radians in [0, 2*pi))."""
-
-    magnitude: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "magnitude", _frozen(self.magnitude))
-        object.__setattr__(self, "orientation", _frozen(self.orientation))
-        if self.magnitude.shape != self.orientation.shape:
-            raise DataError("magnitude/orientation shape mismatch")
-
-
-@dataclass(frozen=True)
 class ScalePyramid:
     """Ordered image levels; level 0 is the original, factors strictly decrease."""
 
@@ -107,8 +88,8 @@ class ScalePyramid:
             raise DataError("scale factors must be strictly decreasing")
 
 
-def compute_gradients(img: GrayImage) -> GradientField:
-    """Central-difference gradients (one-sided on borders).
+def compute_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel (magnitude, orientation) by central differences (one-sided on borders).
 
     Orientation is atan2(dy, dx) mapped into [0, 2*pi); a zero gradient
     yields orientation 0 and magnitude 0.
@@ -133,7 +114,7 @@ def compute_gradients(img: GrayImage) -> GradientField:
     # atan2 returns values in (-pi, pi]; after the shift anything that still
     # rounds up to 2*pi (tiny negative angles) is folded back to 0.
     np.copyto(ori, 0.0, where=ori >= 2.0 * np.pi)
-    return GradientField(magnitude=mag, orientation=ori)
+    return mag, ori
 
 
 def _orientation_planes(mag: np.ndarray, ori: np.ndarray, bins: int, period: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_descriptors import DescriptorSet
-from .errors import DataError
+from .errors import DataError, is_integer
 
 ORTHO_TOL = 1e-8
 
@@ -82,8 +82,8 @@ def fit_pca(data: np.ndarray | Sequence[np.ndarray], d_out: int) -> PcaModel:
     if not all(np.isfinite(b).all() for b in blocks):
         raise DataError("fit_pca input contains non-finite values")
     n = sum(b.shape[0] for b in blocks)
-    if d_out < 1 or d_out > d_in:
-        raise DataError(f"d_out must be in [1, {d_in}], got {d_out}")
+    if not (is_integer(d_out) and 1 <= d_out <= d_in):
+        raise DataError(f"d_out must be an integer in [1, {d_in}], got {d_out!r}")
     if n < d_out:
         raise DataError(f"need at least d_out={d_out} samples, got {n}")
 

@@ -27,7 +27,7 @@ from .dpm_face import PartMixtureModel, build_synthetic_face_model, detect_occup
 from .encoders import (
     ENCODER_KINDS, Provenance, check_quantizer_kind, encode_bow, encode_fv, encode_vlad, l2_or_zero,
 )
-from .errors import DataError, SeatcheckError, StageError
+from .errors import DataError, SeatcheckError, StageError, is_integer
 from .eval_metrics import (
     ScoredSample,
     accuracy,
@@ -76,11 +76,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.encoder not in ENCODER_KINDS:
             raise DataError(f"encoder must be one of {ENCODER_KINDS}, got {self.encoder!r}")
-        for name in ("k", "patch", "stride", "levels", "epochs", "vocab_sample",
-                     "gmm_max_iter", "kmeans_max_iter"):
+        counts = ("k", "patch", "stride", "levels", "epochs", "vocab_sample", "gmm_max_iter", "kmeans_max_iter")
+        seeds = ("split_seed", "sample_seed", "vocab_seed", "svm_seed")
+        for name in counts + seeds:
+            if not is_integer(getattr(self, name)):
+                raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("split_seed", "sample_seed", "vocab_seed", "svm_seed"):
+        for name in seeds:
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
@@ -286,8 +290,6 @@ def run_pipeline(
         )
     model = PipelineModel(
         encoder_kind=config.encoder,
-        k=config.k,
-        d=train_sets[0].dim,
         pca=pca,
         quantizer=quantizer,
         classifier=classifier,

@@ -26,7 +26,7 @@ from .codebooks import GmmModel, KmeansCodebook
 from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, DescriptorSet
 from .dpm_face import Edge, PartMixtureModel, PartTree
 from .encoders import Provenance, check_quantizer_kind
-from .errors import DataError
+from .errors import DataError, is_integer
 from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
 from .linear_classifier import LinearModel, check_trained_on
 from .pca_reduce import PcaModel
@@ -76,8 +76,6 @@ class PipelineModel:
     included, bundled and versioned."""
 
     encoder_kind: str
-    k: int
-    d: int
     pca: PcaModel | None
     quantizer: KmeansCodebook | GmmModel
     classifier: LinearModel
@@ -89,20 +87,18 @@ class PipelineModel:
     scale_factor: float = DEFAULT_SCALE_FACTOR
 
     def __post_init__(self):
-        native = Provenance(self.encoder_kind, self.k, self.d)  # rejects an unknown kind
         check_quantizer_kind(self.encoder_kind, self.quantizer)
+        k, d = self.quantizer.K, self.quantizer.d
+        native = Provenance(self.encoder_kind, k, d)  # rejects an unknown kind
         counts = (self.patch, self.stride, self.levels)
-        whole = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts)
-        if not (whole and min(counts) >= 1 and 0.0 < self.scale_factor < 1.0):
+        if not (all(map(is_integer, counts)) and min(counts) >= 1 and 0.0 < self.scale_factor < 1.0):
             raise DataError("invalid extraction geometry")
-        if self.quantizer.K != self.k or self.quantizer.d != self.d:
-            raise DataError("quantizer shape does not match declared (k, d)")
-        if self.pca is not None and self.pca.d_out != self.d:
-            raise DataError(f"PCA output dim {self.pca.d_out} does not match d={self.d}")
+        if self.pca is not None and self.pca.d_out != d:
+            raise DataError(f"PCA output dim {self.pca.d_out} does not match d={d}")
         if self.final_pca is not None and self.final_pca.d_in != native.length:
             raise DataError("final PCA input dim does not match encoded length")
         compressed = None if self.final_pca is None else self.final_pca.d_out
-        check_trained_on(self.classifier, Provenance(self.encoder_kind, self.k, self.d, compressed))
+        check_trained_on(self.classifier, Provenance(self.encoder_kind, k, d, compressed))
 
 
 # --- JSON codecs --------------------------------------------------------------
@@ -243,7 +239,7 @@ def model_to_json(model: PipelineModel) -> str:
             "levels": model.levels,
             "scale_factor": model.scale_factor,
         },
-        "encoder": {"kind": model.encoder_kind, "k": model.k, "d": model.d},
+        "encoder": {"kind": model.encoder_kind, "k": model.quantizer.K, "d": model.quantizer.d},
         "pca": _pca_to_json(model.pca),
         "quantizer": _quantizer_to_json(model.quantizer),
         "final_pca": _pca_to_json(model.final_pca),
@@ -263,11 +259,9 @@ def model_from_json(text: str) -> PipelineModel:
                 f"unsupported model version {doc.get('version')!r}; this release reads "
                 f"version {MODEL_VERSION} only, so retrain the model"
             )
-        geometry = doc["extract"]
-        return PipelineModel(
-            encoder_kind=doc["encoder"]["kind"],
-            k=doc["encoder"]["k"],
-            d=doc["encoder"]["d"],
+        geometry, encoder = doc["extract"], doc["encoder"]
+        model = PipelineModel(
+            encoder_kind=encoder["kind"],
             pca=_pca_from_json(doc["pca"]),
             quantizer=_quantizer_from_json(doc["quantizer"]),
             final_pca=_pca_from_json(doc["final_pca"]),
@@ -278,6 +272,10 @@ def model_from_json(text: str) -> PipelineModel:
             levels=geometry["levels"],
             scale_factor=geometry["scale_factor"],
         )
+        k, d = encoder["k"], encoder["d"]
+        if not (is_integer(k) and is_integer(d) and (k, d) == (model.quantizer.K, model.quantizer.d)):
+            raise DataError(f"encoder (k, d) = ({k!r}, {d!r}) does not match the quantizer's shape")
+        return model
 
 
 def save_model(model: PipelineModel, path: str | Path) -> None:

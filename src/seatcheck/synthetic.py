@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_integer
 from .eval_metrics import Rect
 from .imagecore import GrayImage, load_pgm, pgm_bytes
 from .store import atomic_write_bytes, atomic_write_text
@@ -43,6 +43,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(is_integer, (self.count, self.width, self.height, self.seed))):
+            raise DataError("count, width, height and seed must be integers")
         if self.count < 2:
             raise DataError("count must be at least 2")
         if not (0.0 < self.positive_fraction < 1.0):

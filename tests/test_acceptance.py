@@ -197,7 +197,6 @@ def test_criterion_2_dp_equals_exhaustive():
         # grids at most 6x6 locations: feature map 6x6 with templates <= 2x2
         fmap = HogFeatureMap(
             features=rng.uniform(size=(int(rng.integers(4, 7)), int(rng.integers(4, 7)), 2)),
-            cell_size=8,
         )
         det = infer_best(model, fmap)
         value, m, locations = exhaustive_argmax(model, fmap)

@@ -441,6 +441,22 @@ def test_detect_face_nan_threshold_exits_2(dataset_dir, dpm_path, tmp_path, caps
     assert not (tmp_path / "detections.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("cell_size", 3.5), ("bins", 9.0), ("cell_size", True)])
+def test_detect_face_on_a_non_integer_dpm_geometry_exits_2(dataset_dir, dpm_path, tmp_path, capsys, key, value):
+    # 3.5 and 9.0 would end in a TypeError traceback; true would detect at a cell size of 1
+    with open(dpm_path) as f:
+        doc = json.load(f)
+    doc[key] = value
+    model = tmp_path / "dpm.json"
+    model.write_text(json.dumps(doc))
+    rc = main(["detect-face", "--manifest", str(dataset_dir / "manifest.csv"), "--model", str(model),
+               "--out", str(tmp_path / "detections.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cell_size and bins must be integers" in err and "Traceback" not in err
+    assert not (tmp_path / "detections.csv").exists()
+
+
 def test_em_cap_is_one_constant():
     import inspect
 

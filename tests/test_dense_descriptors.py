@@ -34,7 +34,7 @@ def single_level(pixels):
 
 def sift_oracle(pixels, patch=24, stride=4):
     """Per-patch, per-pixel trilinear voting written as plain loops."""
-    g = compute_gradients(GrayImage(pixels))
+    g_mag, g_ori = compute_gradients(GrayImage(pixels))
     h, w = pixels.shape
     cs = patch / 4.0
     delta = 2.0 * math.pi / 8.0
@@ -44,8 +44,8 @@ def sift_oracle(pixels, patch=24, stride=4):
             d = np.zeros(128)
             for py in range(patch):
                 for px in range(patch):
-                    m = g.magnitude[y0 + py, x0 + px]
-                    o = g.orientation[y0 + py, x0 + px] / delta
+                    m = g_mag[y0 + py, x0 + px]
+                    o = g_ori[y0 + py, x0 + px] / delta
                     b0 = int(math.floor(o)) % 8
                     fb = o - math.floor(o)
                     cx = (px + 0.5) / cs - 0.5
@@ -85,8 +85,8 @@ def windowed_oracle(pyr, patch, stride):
     kernels = np.einsum("ia,jb->ijab", w1d, w1d).reshape(16, patch * patch)
     out = []
     for lv in pyr.levels:
-        g = compute_gradients(lv)
-        planes = _orientation_planes(g.magnitude, g.orientation, 8, 2.0 * math.pi)
+        g_mag, g_ori = compute_gradients(lv)
+        planes = _orientation_planes(g_mag, g_ori, 8, 2.0 * math.pi)
         windows = sliding_window_view(planes, (patch, patch), axis=(0, 1))[::stride, ::stride]
         for row in windows:  # (nx, 8, patch, patch)
             nx = row.shape[0]

@@ -26,15 +26,15 @@ from seatcheck.synthetic import SyntheticSpec, generate_synthetic, split
 
 def hog_oracle(pixels, cell=8, bins=9):
     """Naive per-pixel re-vote of the HoG computation, loops only."""
-    g = compute_gradients(GrayImage(pixels))
+    g_mag, g_ori = compute_gradients(GrayImage(pixels))
     h, w = pixels.shape
     cy_n, cx_n = h // cell, w // cell
     hist = np.zeros((cy_n, cx_n, bins))
     delta = math.pi / bins
     for y in range(h):
         for x in range(w):
-            m = g.magnitude[y, x]
-            o = (g.orientation[y, x] % math.pi) / delta
+            m = g_mag[y, x]
+            o = (g_ori[y, x] % math.pi) / delta
             b0 = int(math.floor(o)) % bins
             fb = o - math.floor(o)
             cy = (y + 0.5) / cell - 0.5
@@ -71,9 +71,9 @@ def scatter_hog_oracle(img, cell_size=8, bins=9):
     bin indices, then two-step block normalization with a zero-norm guard."""
     cells_y = img.height // cell_size
     cells_x = img.width // cell_size
-    g = compute_gradients(img)
-    mag = g.magnitude.ravel()
-    ori = np.mod(g.orientation, np.pi).ravel()
+    g_mag, g_ori = compute_gradients(img)
+    mag = g_mag.ravel()
+    ori = np.mod(g_ori, np.pi).ravel()
 
     delta = np.pi / bins
     o = ori / delta
@@ -214,8 +214,8 @@ def assert_dp_oracle_exhaustive_agree(model, fmap, label):
     assert (det.score, det.mixture, det.part_locations) == (s, m, locs), label
 
 
-def random_fmap(rng, cy, cx, bins=2, cell=8):
-    return HogFeatureMap(features=rng.uniform(size=(cy, cx, bins)), cell_size=cell)
+def random_fmap(rng, cy, cx, bins=2):
+    return HogFeatureMap(features=rng.uniform(size=(cy, cx, bins)))
 
 
 # --- HoG ----------------------------------------------------------------------
@@ -418,8 +418,7 @@ def test_tie_heavy_trees_match_tensor_oracle_and_exhaustive():
             trees.append(PartTree(templates=templates, edges=edges))
         biases = tuple(float(rng.integers(-1, 2)) for _ in trees)
         model = PartMixtureModel(mixtures=tuple(trees), biases=biases, cell_size=8, bins=2)
-        fmap = HogFeatureMap(features=np.zeros((int(rng.integers(4, 6)), int(rng.integers(4, 6)), 2)),
-                             cell_size=8)
+        fmap = HogFeatureMap(features=np.zeros((int(rng.integers(4, 6)), int(rng.integers(4, 6)), 2)))
         assert_dp_oracle_exhaustive_agree(model, fmap, f"trial {trial}")
 
 
@@ -431,7 +430,7 @@ def test_constant_response_shift_moves_best_score_by_constant():
     model = random_model(rng, max_parts=3)
     tree = model.mixtures[0]
     v = 0.35
-    fmap = HogFeatureMap(features=np.full((6, 6, 2), v), cell_size=8)
+    fmap = HogFeatureMap(features=np.full((6, 6, 2), v))
     det = infer_best(model, fmap)
 
     delta = 0.01

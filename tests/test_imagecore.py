@@ -53,29 +53,29 @@ def gradient_oracle(p):
 
 
 def test_constant_image_zero_gradient():
-    g = compute_gradients(GrayImage(np.full((5, 7), 0.3)))
-    assert np.all(g.magnitude == 0.0)
+    g_mag, g_ori = compute_gradients(GrayImage(np.full((5, 7), 0.3)))
+    assert np.all(g_mag == 0.0)
 
 
 def test_horizontal_ramp_orientation_zero():
     w, h = 16, 8
     x = np.arange(w, dtype=np.float64)
     img = GrayImage(np.tile(x / w, (h, 1)))
-    g = compute_gradients(img)
+    g_mag, g_ori = compute_gradients(img)
     interior = np.s_[1:-1, 1:-1]
-    np.testing.assert_allclose(g.orientation[interior], 0.0, atol=1e-15)
-    np.testing.assert_allclose(g.magnitude[interior], 1.0 / w, rtol=1e-12)
+    np.testing.assert_allclose(g_ori[interior], 0.0, atol=1e-15)
+    np.testing.assert_allclose(g_mag[interior], 1.0 / w, rtol=1e-12)
 
 
 def test_random_gradients_match_per_pixel_oracle_exactly():
     rng = np.random.default_rng(7)
     p = rng.uniform(size=(8, 8))
-    g = compute_gradients(GrayImage(p))
+    g_mag, g_ori = compute_gradients(GrayImage(p))
     mag, ori = gradient_oracle(p)
-    assert np.array_equal(g.magnitude, mag)
+    assert np.array_equal(g_mag, mag)
     # math.atan2 and numpy's SIMD arctan2 can disagree in the last ulp, so
     # orientation is compared at libm precision rather than bitwise.
-    np.testing.assert_allclose(g.orientation, ori, atol=1e-12)
+    np.testing.assert_allclose(g_ori, ori, atol=1e-12)
 
 
 # The gradient-histogram kernel as it was before the flat scatter, the single
@@ -155,10 +155,10 @@ def test_gradients_match_where_oracle_bitwise(synthetic_levels):
     rasters = [lv.pixels for lv in synthetic_levels] + [p]
     assert where_gradients_oracle(p)[1][3, 2] == 0.0
     for px in rasters:
-        g = compute_gradients(GrayImage(px))
+        g_mag, g_ori = compute_gradients(GrayImage(px))
         mag, ori = where_gradients_oracle(px)
-        assert np.array_equal(g.magnitude, mag)
-        assert np.array_equal(g.orientation, ori)
+        assert np.array_equal(g_mag, mag)
+        assert np.array_equal(g_ori, ori)
 
 
 def edge_orientations(bins, period):

@@ -153,6 +153,9 @@ def test_error_cases():
         fit_pca(rng.normal(size=(3, 8)), 5)  # too few samples
     with pytest.raises(DataError):
         fit_pca(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1)
+    for d_out in (2.5, 2.0, True):  # a PipelineConfig pca_dim or final_pca of 2.5 ends here
+        with pytest.raises(DataError, match="integer"):
+            fit_pca(rng.normal(size=(50, 4)), d_out)
     m = fit_pca(rng.normal(size=(50, 4)), 2)
     with pytest.raises(DataError):
         project(m, np.zeros(5))

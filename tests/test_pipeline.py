@@ -156,7 +156,12 @@ def test_metrics_count_the_vocabulary_sample(tmp_path, seed, vocab_sample):
     "bad",
     [{"encoder": "foo"}, {"k": 0}, {"patch": 0}, {"stride": 0}, {"levels": 0}, {"epochs": 0},
      {"vocab_sample": 0}, {"split_seed": -1}, {"sample_seed": -1}, {"vocab_seed": -1},
-     {"svm_seed": -1}, {"gmm_max_iter": 0}, {"kmeans_max_iter": -1}],
+     {"svm_seed": -1}, {"gmm_max_iter": 0}, {"kmeans_max_iter": -1},
+     # a non-integer count would reach a stage as a raw TypeError; levels=True would train
+     # every stage and then fail as a model with invalid geometry
+     {"k": 2.5}, {"epochs": 2.5}, {"vocab_sample": 100.5}, {"levels": 2.5}, {"levels": True},
+     {"stride": 1.5}, {"patch": 24.0}, {"split_seed": 1.5}, {"gmm_max_iter": 2.5},
+     {"kmeans_max_iter": 2.5}],
 )
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(DataError):

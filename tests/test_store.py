@@ -70,7 +70,7 @@ def small_model(rng, with_dpm=False):
             bins=9,
         )
     return PipelineModel(
-        encoder_kind="fisher", k=k, d=d, pca=pca, quantizer=gmm, classifier=clf, dpm=dpm
+        encoder_kind="fisher", pca=pca, quantizer=gmm, classifier=clf, dpm=dpm
     )
 
 
@@ -114,17 +114,17 @@ def test_model_validation_rejects_mismatches():
     m = small_model(rng)
     with pytest.raises(DataError):
         PipelineModel(
-            encoder_kind="bow", k=m.k, d=m.d, pca=m.pca, quantizer=m.quantizer,
+            encoder_kind="bow", pca=m.pca, quantizer=m.quantizer,
             classifier=m.classifier,
         )  # bow needs kmeans
     bad_clf = LinearModel(weights=np.zeros(7), bias=0.0, lambda_=1.0, trained_on="x")
     with pytest.raises(DataError):
         PipelineModel(
-            encoder_kind="fisher", k=m.k, d=m.d, pca=m.pca, quantizer=m.quantizer,
+            encoder_kind="fisher", pca=m.pca, quantizer=m.quantizer,
             classifier=bad_clf,
         )
     # the right length, trained on another encoder's signatures
-    vlad_clf = dataclasses.replace(m.classifier, trained_on=Provenance("vlad", m.k, m.d).fingerprint)
+    vlad_clf = dataclasses.replace(m.classifier, trained_on=Provenance("vlad", m.quantizer.K, m.quantizer.d).fingerprint)
     with pytest.raises(DataError, match="vlad:K=3:d=6"):
         dataclasses.replace(m, classifier=vlad_clf)
 
@@ -419,8 +419,8 @@ def _numeric_paths(node, path=()):
 def _models_with_every_section():
     rng = np.random.default_rng(7)
     fisher = small_model(rng, with_dpm=True)
-    final = fit_pca(rng.normal(size=(30, fisher.k * fisher.d)), 4)
-    compressed = Provenance("fisher", fisher.k, fisher.d, compressed_dim=4)
+    final = fit_pca(rng.normal(size=(30, fisher.quantizer.K * fisher.quantizer.d)), 4)
+    compressed = Provenance("fisher", fisher.quantizer.K, fisher.quantizer.d, compressed_dim=4)
     fisher = dataclasses.replace(
         fisher,
         final_pca=final,
@@ -428,11 +428,11 @@ def _models_with_every_section():
             fisher.classifier, weights=rng.normal(size=4), trained_on=compressed.fingerprint
         ),
     )
-    bow_provenance = Provenance("bow", fisher.k, fisher.d)
+    bow_provenance = Provenance("bow", fisher.quantizer.K, fisher.quantizer.d)
     bow = dataclasses.replace(
         fisher,
         encoder_kind="bow",
-        quantizer=KmeansCodebook(centroids=rng.normal(size=(fisher.k, fisher.d))),
+        quantizer=KmeansCodebook(centroids=rng.normal(size=(fisher.quantizer.K, fisher.quantizer.d))),
         final_pca=None,
         classifier=dataclasses.replace(
             fisher.classifier,
@@ -471,6 +471,16 @@ def test_model_geometry_must_be_integers(key, value):
     doc = json.loads(model_to_json(small_model(np.random.default_rng(2))))
     doc["extract"][key] = value
     with pytest.raises(DataError, match="geometry"):
+        model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value", [("k", 4), ("d", 5), ("k", 3.0), ("d", True)])
+def test_model_encoder_k_and_d_must_match_the_quantizer(key, value):
+    # the quantizer alone gives k and d; a file that declares others is corrupt
+    doc = json.loads(model_to_json(small_model(np.random.default_rng(2))))
+    assert (doc["encoder"]["k"], doc["encoder"]["d"]) == (3, 6)
+    doc["encoder"][key] = value
+    with pytest.raises(DataError):
         model_from_json(json.dumps(doc))
 
 

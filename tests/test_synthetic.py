@@ -60,6 +60,9 @@ def test_spec_validation():
             SyntheticSpec(count=10, noise_sigma=sigma)
     with pytest.raises(DataError):
         SyntheticSpec(count=10, seed=-1)
+    for bad in ({"count": 2.5}, {"count": True}, {"width": 128.5}, {"height": 96.0}, {"seed": 1.5}):
+        with pytest.raises(DataError, match="must be integers"):
+            SyntheticSpec(**{"count": 10, **bad})
 
 
 def test_labeled_image_invariants():
