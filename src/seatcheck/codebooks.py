@@ -126,34 +126,30 @@ def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _squared_distances(data: np.ndarray, centroids: np.ndarray, data_sq: np.ndarray) -> np.ndarray:
+def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(N, K) squared Euclidean distances in the expanded form
     |x|^2 - 2 x.c + |c|^2.
 
-    ``data_sq`` is (data * data).sum(axis=1), computed once by the caller.
     The terms are applied in place to the one (N, K) buffer the matmul
-    returns, so no (N, K, d) or second (N, K) array is built.
+    returns, so no (N, K, d) or second (N, K) array is built. Each |x|^2 sums
+    its own row's d values, so a row block gets the bits of the whole batch.
     """
     d2 = data @ centroids.T
     d2 *= -2.0
-    d2 += data_sq[:, None]
+    d2 += (data * data).sum(axis=1)[:, None]
     d2 += (centroids * centroids).sum(axis=1)
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _nearest(
-    data: np.ndarray, centroids: np.ndarray, data_sq: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(data: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the closest centroid for every row (ties go to the lowest
     index) and the squared distance to it, in the expanded form, one row
-    block at a time."""
+    block at a time, so no temporary is larger than a block."""
     n, K = data.shape[0], centroids.shape[0]
-    if data_sq is None:
-        data_sq = (data * data).sum(axis=1)
     labels = np.empty(n, dtype=np.intp)
     own = np.empty(n)
     for a, b in _row_blocks(n, K):
-        d2 = _squared_distances(data[a:b], centroids, data_sq[a:b])
+        d2 = _squared_distances(data[a:b], centroids)
         labels[a:b] = np.argmin(d2, axis=1)
         own[a:b] = d2[np.arange(b - a), labels[a:b]]
     return labels, own
@@ -174,13 +170,18 @@ def _distances_to(data: np.ndarray, point: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cluster_sums(columns: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
-    """(K, d) sums of each cluster's rows, given the data as its d columns.
+def _cluster_sums(data: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """(K, d) sums of each cluster's rows, one row block at a time.
 
-    A weighted ``bincount`` adds each cluster's values in input order, as
-    ``data[labels == k].sum(axis=0)`` does, so the sums are the same bits.
+    ``np.add.at`` on the flat (cluster, column) index adds each value in
+    input order, carried from block to block, as ``data[labels == k].sum(axis=0)``
+    does, so the sums are the same bits without a transposed copy of the data.
     """
-    return np.stack([np.bincount(labels, weights=col, minlength=K) for col in columns], axis=1)
+    n, d = data.shape
+    sums = np.zeros(K * d)
+    for a, b in _row_blocks(n, d):
+        np.add.at(sums, (labels[a:b, None] * d + np.arange(d)).ravel(), data[a:b].ravel())
+    return sums.reshape(K, d)
 
 
 def _kmeanspp_init(data: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -246,18 +247,16 @@ def train_kmeans(data: np.ndarray, K: int, seed: int, max_iter: int = 100) -> Km
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(data, K, rng)
-    data_sq = (data * data).sum(axis=1)
-    columns = np.ascontiguousarray(data.T)
     prev_labels = None
     history: list[float] = []
     for _ in range(max_iter):
-        labels, own = _nearest(data, centroids, data_sq)
+        labels, own = _nearest(data, centroids)
         counts = _reseed_empty(data, centroids, labels, own)
         history.append(float(own.sum()))
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
-        centroids = _cluster_sums(columns, labels, K)
+        centroids = _cluster_sums(data, labels, K)
         centroids /= counts[:, None]
     return KmeansCodebook(centroids=centroids, sse_history=tuple(history))
 

@@ -400,6 +400,8 @@ def build_synthetic_face_model(
     """
     if not faces or not negatives:
         raise DataError("need at least one face crop and one negative image")
+    if not is_integer(cell_size):
+        raise DataError(f"cell size must be an integer, got {cell_size!r}")
     if cell_size < 1:
         raise DataError(f"cell size must be at least 1, got {cell_size!r}")
     if seed < 0:

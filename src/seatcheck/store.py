@@ -63,10 +63,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 @contextmanager
 def _decoding(what: str):
     """Report a file that cannot be read or decoded (missing keys, wrong JSON
-    types, bad array shapes) as a DataError."""
+    types, bad array shapes, nesting too deep to parse) as a DataError."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError) as e:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError, RecursionError) as e:
         raise DataError(f"cannot read {what}: {e!r}") from e
 
 

@@ -248,9 +248,9 @@ def load_dataset(manifest_path: str | Path) -> list[LabeledImage]:
     out = []
     first_line: dict[str, int] = {}
     try:
-        rows = list(csv.reader(manifest_path.read_text().splitlines()))
-    except OSError as e:
-        raise DataError(f"cannot read manifest: {e}") from e
+        rows = list(csv.reader(manifest_path.read_text(encoding="utf-8").splitlines()))
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read manifest {manifest_path}: {e}") from e
     if not rows or rows[0][:2] != ["path", "label"]:
         raise DataError("manifest must start with a 'path,label,x,y,w,h' header")
     for lineno, row in enumerate(rows[1:], start=2):

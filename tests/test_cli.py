@@ -265,6 +265,17 @@ def test_manifest_naming_a_missing_image_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_manifest_that_is_not_utf8_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"path,label,x,y,w,h\nimages/\xb4.pgm,empty,,,,\n")
+    rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "d.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot read manifest {manifest}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.bin").exists()
+
+
 def test_truncated_corpus_exits_2(dataset_dir, tmp_path, capsys):
     manifest = str(dataset_dir / "manifest.csv")
     desc = str(tmp_path / "desc.bin")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -417,6 +418,23 @@ def test_lloyd_matches_old_loop_bit_for_bit(pca64_pool):
     assert cb.sse_history == history
 
 
+@pytest.mark.parametrize("train, K", [(train_kmeans, 256), (train_gmm, 32)], ids=["kmeans", "gmm"])
+def test_vocabulary_training_holds_no_second_copy_of_its_sample(train, K):
+    """Traced memory stays under half the sample's bytes: the sample is the only
+    sample-sized array, and everything else is a row block or one value per row.
+    A transposed copy or a whole-sample x * x would put the peak above 1x."""
+    pool = np.random.default_rng(15).normal(size=(30000, 64))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train(pool, K=K, seed=3, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * pool.nbytes, f"peak {peak / pool.nbytes:.2f}x the sample"
+
+
 def test_em_matches_old_iteration_within_1e_12(pca64_pool):
     pool, _ = pca64_pool
     gmm = train_gmm(pool, K=32, seed=0, max_iter=15)
@@ -454,7 +472,7 @@ def test_distances_match_old_matmul_branch_at_k256(pca64_pool):
     centroids = _kmeanspp_init(pool, 256, np.random.default_rng(1))
     assert np.array_equal(centroids, old_kmeanspp_init(pool, 256, np.random.default_rng(1)))
     old = old_squared_distances(pool, centroids)
-    assert np.array_equal(_squared_distances(pool, centroids, (pool * pool).sum(axis=1)), old)
+    assert np.array_equal(_squared_distances(pool, centroids), old)
     labels, own = _nearest(pool, centroids)
     assert np.array_equal(labels, np.argmin(old, axis=1))
     assert np.array_equal(own, old[np.arange(pool.shape[0]), labels])

@@ -565,6 +565,14 @@ def test_build_synthetic_face_model_structure():
     assert decision == "person"
 
 
+@pytest.mark.parametrize("cell_size", [3.5, True])
+def test_build_synthetic_face_model_rejects_a_non_integer_cell_size(cell_size):
+    faces = [(GrayImage(np.full((96, 128), 0.5)), Rect(40, 20, 30, 34))]
+    negatives = [GrayImage(np.full((96, 128), 0.5))]
+    with pytest.raises(DataError, match="cell size must be an integer"):
+        build_synthetic_face_model(faces, negatives, cell_size=cell_size)
+
+
 def recursive_ordered_edges(tree):
     """The leaf-to-root order as PartTree.ordered_edges built it on every call."""
     by_parent = {}

@@ -139,6 +139,17 @@ def test_model_file_rejects_garbage(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize(
+    "load", [load_model, load_pca, load_quantizer, load_classifier, load_dpm_model],
+    ids=lambda f: f.__name__,
+)
+def test_json_nested_past_the_recursion_limit_is_data_error(tmp_path, load):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 1000 + "]" * 1000)
+    with pytest.raises(DataError):
+        load(p)
+
+
 def test_quantizer_and_pca_files(tmp_path):
     rng = np.random.default_rng(2)
     cb = KmeansCodebook(centroids=rng.normal(size=(4, 3)))
