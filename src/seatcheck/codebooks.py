@@ -17,10 +17,26 @@ then the block's share of the sufficient statistics, so no (n, K) array is
 held. The tests keep the three-matmul (n, K) form with whole-array
 statistics as an oracle; EM and ``posteriors`` agree with it to 1e-12
 relative, not bit for bit.
+
+Each ``train_kmeans`` and ``train_gmm`` call makes a thread pool for its own
+length, and one block map runs three kinds of row block on it: the Lloyd
+sweeps' nearest centroids, the k-means++ seeding's distances and the EM
+pass. The models are the same bits at any thread count. The cuts depend
+only on n, each product runs whole on one thread, and a block writes only
+its own rows. Each EM block returns its share of the statistics, and the
+calling thread adds the shares in block order. The cluster sums stay on the
+calling thread. The pool runs only where BLAS was pinned below the CPU
+count (``_worker_count``); at OpenBLAS's default every product already runs
+on every CPU. ``assign_nearest`` and ``posteriors`` stay on the caller's
+thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +142,49 @@ def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _worker_count() -> int:
+    """Threads for a training call's row blocks: the CPUs this process may
+    run on, divided by the threads each BLAS product runs on.
+
+    OpenBLAS reads its thread count when it loads, from OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS (the first that is a positive integer), and runs on
+    every CPU when neither is set. So with OpenBLAS's default the count is 1,
+    and the pool runs only where BLAS was pinned below the CPU count.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cpus // min(blas, cpus))
+
+
+def _block_pool():
+    """A context giving one training call's thread pool, or None when the
+    worker count is 1."""
+    workers = _worker_count()
+    return ThreadPoolExecutor(workers) if workers > 1 else nullcontext()
+
+
+def _map_blocks(pool: ThreadPoolExecutor | None, fn, blocks: list[tuple[int, int]]) -> list:
+    """``[fn(a, b) for a, b in blocks]``, on the threads of ``pool`` when there
+    is one and more than one block; the results come back in block order."""
+    if pool is None or len(blocks) < 2:
+        return [fn(a, b) for a, b in blocks]
+    return list(pool.map(fn, *zip(*blocks)))
+
+
+def _scratch(local: threading.local, *shapes) -> list[np.ndarray]:
+    """The calling thread's buffers in ``local``, made with these shapes on
+    its first call and reused on every later one."""
+    buffers = getattr(local, "buffers", None)
+    if buffers is None:
+        buffers = local.buffers = [np.empty(shape) for shape in shapes]
+    return buffers
+
+
 def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(N, K) squared Euclidean distances in the expanded form
     |x|^2 - 2 x.c + |c|^2.
@@ -141,32 +200,44 @@ def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _nearest(data: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    data: np.ndarray, centroids: np.ndarray, pool: ThreadPoolExecutor | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Index of the closest centroid for every row (ties go to the lowest
     index) and the squared distance to it, in the expanded form, one row
     block at a time, so no temporary is larger than a block."""
     n, K = data.shape[0], centroids.shape[0]
     labels = np.empty(n, dtype=np.intp)
     own = np.empty(n)
-    for a, b in _row_blocks(n, K):
+
+    def block(a, b):
         d2 = _squared_distances(data[a:b], centroids)
         labels[a:b] = np.argmin(d2, axis=1)
         own[a:b] = d2[np.arange(b - a), labels[a:b]]
+
+    _map_blocks(pool, block, _row_blocks(n, max(K, data.shape[1])))
     return labels, own
 
 
-def _distances_to(data: np.ndarray, point: np.ndarray) -> np.ndarray:
+def _distances_to(
+    data: np.ndarray, point: np.ndarray, pool: ThreadPoolExecutor | None = None
+) -> np.ndarray:
     """Squared distance of every row of ``data`` to one point, in the naive
-    difference form, one row block at a time in one reused buffer."""
+    difference form, one row block at a time; each thread that runs blocks
+    reuses one block-sized buffer of its own."""
     n, d = data.shape
     blocks = _row_blocks(n, d)
+    rows = max(b - a for a, b in blocks)
     out = np.empty(n)
-    buf = np.empty((max(b - a for a, b in blocks), d))
-    for a, b in blocks:
-        diff = buf[: b - a]
+    local = threading.local()
+
+    def block(a, b):
+        diff = _scratch(local, (rows, d))[0][: b - a]
         np.subtract(data[a:b], point, out=diff)
         np.multiply(diff, diff, out=diff)
         diff.sum(axis=1, out=out[a:b])
+
+    _map_blocks(pool, block, blocks)
     return out
 
 
@@ -184,23 +255,29 @@ def _cluster_sums(data: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     return sums.reshape(K, d)
 
 
-def _kmeanspp_init(data: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    data: np.ndarray, K: int, rng: np.random.Generator, pool: ThreadPoolExecutor | None = None
+) -> np.ndarray:
     n = data.shape[0]
     centroids = np.empty((K, data.shape[1]))
     centroids[0] = data[rng.integers(n)]
-    d2min = _distances_to(data, centroids[0])
+    d2min = _distances_to(data, centroids[0], pool)
     for k in range(1, K):
         total = d2min.sum()
         if total <= 0.0:
             raise DataError(f"fewer than K={K} distinct points in k-means input")
         idx = rng.choice(n, p=d2min / total)
         centroids[k] = data[idx]
-        np.minimum(d2min, _distances_to(data, centroids[k]), out=d2min)
+        np.minimum(d2min, _distances_to(data, centroids[k], pool), out=d2min)
     return centroids
 
 
 def _reseed_empty(
-    data: np.ndarray, centroids: np.ndarray, labels: np.ndarray, own: np.ndarray
+    data: np.ndarray,
+    centroids: np.ndarray,
+    labels: np.ndarray,
+    own: np.ndarray,
+    pool: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
     """Move each empty cluster, lowest index first, to the point farthest from
     its own centroid, at most K times; update ``centroids``, ``labels`` and
@@ -219,7 +296,7 @@ def _reseed_empty(
             break
         e = empty[0]
         centroids[e] = data[int(np.argmax(own))]
-        d2e = _distances_to(data, centroids[e])
+        d2e = _distances_to(data, centroids[e], pool)
         moved = (d2e < own) | ((d2e == own) & (e < labels))
         labels[moved] = e
         own[moved] = d2e[moved]
@@ -246,18 +323,19 @@ def train_kmeans(data: np.ndarray, K: int, seed: int, max_iter: int = 100) -> Km
         raise DataError(f"need at least K={K} samples, got {n}")
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(data, K, rng)
     prev_labels = None
     history: list[float] = []
-    for _ in range(max_iter):
-        labels, own = _nearest(data, centroids)
-        counts = _reseed_empty(data, centroids, labels, own)
-        history.append(float(own.sum()))
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            break
-        prev_labels = labels
-        centroids = _cluster_sums(data, labels, K)
-        centroids /= counts[:, None]
+    with _block_pool() as pool:
+        centroids = _kmeanspp_init(data, K, rng, pool)
+        for _ in range(max_iter):
+            labels, own = _nearest(data, centroids, pool)
+            counts = _reseed_empty(data, centroids, labels, own, pool)
+            history.append(float(own.sum()))
+            if prev_labels is not None and np.array_equal(labels, prev_labels):
+                break
+            prev_labels = labels
+            centroids = _cluster_sums(data, labels, K)
+            centroids /= counts[:, None]
     return KmeansCodebook(centroids=centroids, sse_history=tuple(history))
 
 
@@ -389,47 +467,56 @@ def train_gmm(
 
     blocks = _row_blocks(n, max(K, 2 * d))
     rows = max(b - a for a, b in blocks)
-    # One buffer for a block's responsibilities and one for its features, so
-    # the (n, 2d) features of the whole pool are never held.
-    resp, zbuf = np.empty((K, rows)), np.empty((rows, 2 * d))
+    # Each thread that runs blocks reuses one buffer for a block's
+    # responsibilities and one for its features, so the (n, 2d) features of
+    # the whole sample are never held.
+    local = threading.local()
     lse = np.empty(n)
     history: list[float] = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
-        if trace is not None:
-            trace.append((weights.copy(), means.copy(), variances.copy()))
-        # Divergence is a numerical failure, not the DataError GmmModel raises.
-        if not all(np.isfinite(p).all() for p in (weights, means, variances)):
-            raise NumericalError("non-finite parameters during EM")
-        W, c = _density_form(GmmModel(weights=weights, means=means, variances=variances))
-        # One pass over the row blocks: E-step, then the sufficient statistics
-        # S = sum_t r_t [x_t, x_t^2] and nk = sum_t r_t; no (n, K) array is held.
-        S = np.zeros((K, 2 * d))
-        nk = np.zeros(K)
-        for a, b in blocks:
-            r, z = resp[:, : b - a], _features(data[a:b], zbuf[: b - a])
-            lse[a:b] = _e_step(W, c, z, r)
-            S += r @ z
-            nk += r.sum(axis=1)
-        ll = float(lse.mean())
-        if not np.isfinite(ll):
-            raise NumericalError("non-finite log-likelihood during EM")
-        history.append(ll)
-        if ll - prev_ll < tol:
-            break
-        prev_ll = ll
+    with _block_pool() as pool:
+        for _ in range(max_iter):
+            if trace is not None:
+                trace.append((weights.copy(), means.copy(), variances.copy()))
+            # Divergence is a numerical failure, not the DataError GmmModel raises.
+            if not all(np.isfinite(p).all() for p in (weights, means, variances)):
+                raise NumericalError("non-finite parameters during EM")
+            W, c = _density_form(GmmModel(weights=weights, means=means, variances=variances))
 
-        live = nk > 1e-10
-        weights = np.maximum(nk / n, WEIGHT_FLOOR)
-        weights /= weights.sum()
-        new_means = means.copy()
-        new_vars = variances.copy()
-        S /= np.where(live, nk, 1.0)[:, None]
-        mu, second = S[:, :d], S[:, d:]
-        new_means[live] = mu[live]
-        new_vars[live] = second[live] - mu[live] ** 2
-        means = new_means
-        variances = np.maximum(new_vars, VARIANCE_FLOOR)
+            def em_block(a, b):
+                """E-step of rows [a, b), then their share r [x, x^2] and r
+                of the sufficient statistics; no (n, K) array is held."""
+                resp, zbuf = _scratch(local, (K, rows), (rows, 2 * d))
+                r, z = resp[:, : b - a], _features(data[a:b], zbuf[: b - a])
+                lse[a:b] = _e_step(W, c, z, r)
+                return r @ z, r.sum(axis=1)
+
+            # S = sum_t r_t [x_t, x_t^2] and nk = sum_t r_t, added in block
+            # order whichever thread ran each block.
+            S = np.zeros((K, 2 * d))
+            nk = np.zeros(K)
+            for block_S, block_nk in _map_blocks(pool, em_block, blocks):
+                S += block_S
+                nk += block_nk
+            ll = float(lse.mean())
+            if not np.isfinite(ll):
+                raise NumericalError("non-finite log-likelihood during EM")
+            history.append(ll)
+            if ll - prev_ll < tol:
+                break
+            prev_ll = ll
+
+            live = nk > 1e-10
+            weights = np.maximum(nk / n, WEIGHT_FLOOR)
+            weights /= weights.sum()
+            new_means = means.copy()
+            new_vars = variances.copy()
+            S /= np.where(live, nk, 1.0)[:, None]
+            mu, second = S[:, :d], S[:, d:]
+            new_means[live] = mu[live]
+            new_vars[live] = second[live] - mu[live] ** 2
+            means = new_means
+            variances = np.maximum(new_vars, VARIANCE_FLOOR)
 
     return GmmModel(
         weights=weights, means=means, variances=variances, loglik_history=tuple(history)

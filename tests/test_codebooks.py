@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -194,6 +196,26 @@ def old_em(data, K, seed, max_iter=100, tol=1e-5):
         means = new_means
         variances = np.maximum(new_vars, codebooks.VARIANCE_FLOOR)
     return weights, means, variances, tuple(history)
+
+
+def reseed_grid():
+    """Fifteen 64-D locations of norm ~1e4, 300 copies each, and one point 1e-9
+    away from the first: the k-means++ seeding must take both, and the
+    expanded form cannot tell them apart, so one of their clusters empties."""
+    rng = np.random.default_rng(1)
+    locations = rng.uniform(-1e3, 1e3, size=(15, 64))
+    near = locations[0].copy()
+    near[0] += 1e-9
+    return np.vstack([np.repeat(locations, 300, axis=0), near])
+
+
+def sample_30000x64():
+    return np.random.default_rng(15).normal(size=(30000, 64))
+
+
+def tie_grid():
+    """Forty points on a 4 x 4 integer grid, so distances tie."""
+    return np.random.default_rng(12).integers(0, 4, size=(40, 2)).astype(np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +445,7 @@ def test_vocabulary_training_holds_no_second_copy_of_its_sample(train, K):
     """Traced memory stays under half the sample's bytes: the sample is the only
     sample-sized array, and everything else is a row block or one value per row.
     A transposed copy or a whole-sample x * x would put the peak above 1x."""
-    pool = np.random.default_rng(15).normal(size=(30000, 64))
+    pool = sample_30000x64()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -433,6 +455,81 @@ def test_vocabulary_training_holds_no_second_copy_of_its_sample(train, K):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * pool.nbytes, f"peak {peak / pool.nbytes:.2f}x the sample"
+
+
+@pytest.mark.parametrize(
+    "train, data, K, kwargs, pooled",
+    [
+        (train_kmeans, sample_30000x64, 256, {"seed": 3, "max_iter": 4}, True),
+        (train_kmeans, tie_grid, 5, {"seed": 4}, False),  # one block: no pool
+        (train_kmeans, reseed_grid, 16, {"seed": 1, "max_iter": 2}, True),
+        (train_gmm, sample_30000x64, 32, {"seed": 3}, True),
+    ],
+    ids=["kmeans-k256", "kmeans-tie-grid", "kmeans-reseeds", "gmm-k32"],
+)
+def test_training_gives_the_same_bits_at_any_worker_count(
+    train, data, K, kwargs, pooled, monkeypatch
+):
+    data = data()
+    threads = set()
+
+    def on_thread(kernel):
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return kernel(*args)
+        return recording
+
+    # Every block kernel calls one of these on the thread that runs the block.
+    for name in ("_squared_distances", "_scratch"):
+        monkeypatch.setattr(codebooks, name, on_thread(getattr(codebooks, name)))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(codebooks, "_worker_count", lambda: workers)
+            threads.clear()
+            trace = []
+            extra = {"trace": trace} if train is train_gmm else {}
+            runs.append((train(data, K=K, **kwargs, **extra), trace))
+            off_main = {t for t in threads if t is not threading.main_thread()}
+            assert bool(off_main) == (pooled and workers > 1)
+    finally:
+        sys.setswitchinterval(interval)
+    (first, first_trace), *others = runs
+    if train is train_kmeans:
+        for cb, _ in others:
+            assert np.array_equal(cb.centroids, first.centroids)
+            assert cb.sse_history == first.sse_history
+    else:
+        assert len(first_trace) == len(first.loglik_history) == codebooks.DEFAULT_EM_ITER
+        for gmm, trace in others:
+            for x, y in zip((gmm.weights, gmm.means, gmm.variances),
+                            (first.weights, first.means, first.variances)):
+                assert np.array_equal(x, y)
+            assert gmm.loglik_history == first.loglik_history
+            assert all(
+                np.array_equal(x, y) for step, ref in zip(trace, first_trace, strict=True)
+                for x, y in zip(step, ref)
+            )
+
+
+def test_an_error_on_a_pool_thread_reaches_the_caller(pca64_pool, monkeypatch):
+    class Failure(Exception):
+        pass
+
+    threads = set()
+
+    def failing(W, c, Z, out):
+        threads.add(threading.current_thread())
+        raise Failure
+
+    pool, _ = pca64_pool
+    monkeypatch.setattr(codebooks, "_worker_count", lambda: 2)
+    monkeypatch.setattr(codebooks, "_e_step", failing)
+    with pytest.raises(Failure):
+        train_gmm(pool, K=8, seed=0, max_iter=2)
+    assert threads and threading.main_thread() not in threads
 
 
 def test_em_matches_old_iteration_within_1e_12(pca64_pool):
@@ -480,8 +577,7 @@ def test_distances_match_old_matmul_branch_at_k256(pca64_pool):
 
 
 def test_naive_branch_and_its_tie_break_match_old_code():
-    rng = np.random.default_rng(12)
-    data = rng.integers(0, 4, size=(40, 2)).astype(np.float64)
+    data = tie_grid()
     centroids = data[[0, 5, 9, 17, 30]]
     old = old_squared_distances(data, centroids)
     assert ((old == old.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # ties occur
@@ -516,14 +612,7 @@ def test_reseed_step_matches_full_argmin_with_ties():
 
 
 def test_empty_cluster_reseed_matches_old_loop():
-    # Fifteen 64-D locations of norm ~1e4, 300 copies each, and one point 1e-9
-    # away from the first: the k-means++ seeding must take both, and the
-    # expanded form cannot tell them apart, so one of their clusters empties.
-    rng = np.random.default_rng(1)
-    locations = rng.uniform(-1e3, 1e3, size=(15, 64))
-    near = locations[0].copy()
-    near[0] += 1e-9
-    data = np.vstack([np.repeat(locations, 300, axis=0), near])
+    data = reseed_grid()
     assert data.shape[0] * 16 * 64 > 1 << 22  # the old code's expanded form
     cb = train_kmeans(data, K=16, seed=1, max_iter=2)
     centroids, history, reseeds, ties = old_lloyd(data, K=16, seed=1, max_iter=2)
@@ -539,14 +628,9 @@ def test_empty_cluster_reseed_matches_old_loop():
 
 
 def test_cluster_left_empty_names_too_few_distinct_points():
-    # The input of test_empty_cluster_reseed_matches_old_loop: in the third
-    # sweep every point sits on a centroid and K reseeds leave a cluster
-    # empty. The error comes before any mean is divided, so nothing warns.
-    rng = np.random.default_rng(1)
-    locations = rng.uniform(-1e3, 1e3, size=(15, 64))
-    near = locations[0].copy()
-    near[0] += 1e-9
-    data = np.vstack([np.repeat(locations, 300, axis=0), near])
+    # In the third sweep every point sits on a centroid and K reseeds leave a
+    # cluster empty. The error comes before any mean is divided, so nothing warns.
+    data = reseed_grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="fewer distinct points than K=16"):
@@ -565,8 +649,10 @@ def test_posteriors_equal_the_em_e_step_bit_for_bit(pca64_pool, monkeypatch):
     # Record the responsibilities of the first E-step, block by block, and ask
     # posteriors for the rows of one whole block. (The BLAS kernel computes
     # the last few columns of a long (K, n) product by a remainder path, so a
-    # row cut at another place may differ in the last bit.)
+    # row cut at another place may differ in the last bit.) One worker, so
+    # the blocks are recorded in row order.
     pool, _ = pca64_pool
+    monkeypatch.setattr(codebooks, "_worker_count", lambda: 1)
     e_step = codebooks._e_step
     blocks = []
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seatcheck import pipeline
+from seatcheck import codebooks, pipeline
 from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.errors import DataError, StageError
 from seatcheck.pipeline import PipelineConfig, pool_descriptors, run_pipeline, score_image
@@ -74,6 +74,22 @@ def test_pipeline_determinism_bit_identical(corpus, tmp_path):
     run_pipeline(corpus, SMALL, out_dir=b_dir)
     for name in ("model.json", "roc.csv", "yield.csv", "metrics.json", "table.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "config",
+    [PipelineConfig(with_dpm=True), PipelineConfig(encoder="bow", k=64)],
+    ids=["fisher-dpm", "bow-k64"],
+)
+def test_artifacts_are_the_same_bytes_at_any_worker_count(config, tmp_path, monkeypatch):
+    # 60 images give 38,112 training descriptors, so the vocabulary trains on
+    # the full 30,000-row sample, in many row blocks.
+    images = generate_synthetic(SyntheticSpec(count=60, seed=7))
+    for workers in (1, 2):
+        monkeypatch.setattr(codebooks, "_worker_count", lambda: workers)
+        run_pipeline(images, config, out_dir=tmp_path / str(workers))
+    for name in ("model.json", "metrics.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_save_load_score_round_trip_exact(corpus, tmp_path):
