@@ -17,14 +17,13 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import store
-from .codebooks import gmm_debug_dump
-from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE, descriptors_to_csv
+from .dense_descriptors import DEFAULT_PATCH, DEFAULT_STRIDE
 from .dpm_face import FACE_CELL_SIZE
 from .encoders import ENCODER_KINDS, Provenance
 from .errors import DataError, NumericalError, SeatcheckError, StageError
 from .eval_metrics import best_threshold, curve_to_csv, is_true_positive
 from .imagecore import DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR
-from .linear_classifier import check_trained_on, score, weights_to_csv
+from .linear_classifier import check_trained_on, score
 from .pca_reduce import fit_pca, project_set
 from .pipeline import (
     DPM_SEED,
@@ -73,9 +72,6 @@ def cmd_synth_gen(args) -> int:
 def cmd_extract(args) -> int:
     sets = extract_all(load_dataset(args.manifest), _from_args(PipelineConfig, args))
     store.save_descriptor_sets(sets, args.out)
-    if args.dump_csv:
-        for ds in sets:
-            store.atomic_write_text(Path(args.dump_csv) / f"{ds.source_id}.csv", descriptors_to_csv(ds))
     total = sum(len(s) for s in sets)
     print(f"extracted {total} descriptors from {len(sets)} images -> {args.out}")
     return 0
@@ -106,12 +102,10 @@ def cmd_train_vocabulary(args) -> int:
     """train-codebook (encoder bow) and train-gmm (encoder fisher)."""
     vocab = train_vocabulary(_load_projected_sets(args), _from_args(PipelineConfig, args))
     store.save_quantizer(vocab, args.out)
-    if args.encoder != "fisher":
+    if args.encoder == "fisher":
+        print(f"GMM K={vocab.K} d={vocab.d} trained ({len(vocab.loglik_history)} EM iterations) -> {args.out}")
+    else:
         print(f"k-means codebook K={vocab.K} d={vocab.d} -> {args.out}")
-        return 0
-    if args.debug_dump:
-        store.atomic_write_text(args.debug_dump, gmm_debug_dump(vocab))
-    print(f"GMM K={vocab.K} d={vocab.d} trained ({len(vocab.loglik_history)} EM iterations) -> {args.out}")
     return 0
 
 
@@ -128,8 +122,6 @@ def cmd_encode(args) -> int:
         except KeyError as e:
             raise DataError(f"image {e} is not in the manifest") from e
     store.save_corpus(x, Provenance(args.encoder, quantizer.K, quantizer.d), labels, ids, args.out)
-    if args.csv:
-        store.atomic_write_text(args.csv, store.corpus_to_csv(x, labels, ids))
     print(f"encoded {len(x)} images ({args.encoder}, len={len(x[0])}) -> {args.out}")
     return 0
 
@@ -138,8 +130,6 @@ def cmd_train_svm(args) -> int:
     x, provenance, labels, _ = _labeled_corpus(args.corpus)
     clf = train_classifier(x, labels, provenance, _from_args(PipelineConfig, args))
     store.save_classifier(clf, args.out)
-    if args.weights_csv:
-        store.atomic_write_text(args.weights_csv, weights_to_csv(clf))
     print(f"SVM trained on {len(x)} signatures -> {args.out}")
     return 0
 
@@ -240,7 +230,6 @@ def build_parser() -> Parser:
     p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
     p.add_argument("--factor", dest="scale_factor", type=float, default=DEFAULT_SCALE_FACTOR)
-    p.add_argument("--dump-csv", help="directory for per-image debug CSV dumps")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("train-pca", help="fit descriptor PCA")
@@ -264,7 +253,6 @@ def build_parser() -> Parser:
         p.add_argument("--out", required=True)
         if encoder == "fisher":
             p.add_argument("--tol", dest="gmm_tol", type=float, default=DEFAULTS.gmm_tol)
-            p.add_argument("--debug-dump", help="write a plain-text component listing")
         p.set_defaults(fn=cmd_train_vocabulary, encoder=encoder)
 
     p = sub.add_parser("encode", help="aggregate descriptors into image signatures")
@@ -273,7 +261,6 @@ def build_parser() -> Parser:
     p.add_argument("--encoder", choices=ENCODER_KINDS, required=True)
     p.add_argument("--vocab", required=True, help="codebook (bow/vlad) or GMM (fisher) file")
     p.add_argument("--manifest", help="attach labels from this manifest")
-    p.add_argument("--csv", help="also export the corpus as CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_encode)
 
@@ -282,7 +269,6 @@ def build_parser() -> Parser:
     p.add_argument("--lambda", dest="lambda_", type=float, default=DEFAULTS.lambda_)
     p.add_argument("--epochs", type=int, default=DEFAULTS.epochs)
     p.add_argument("--seed", dest="svm_seed", type=int, default=DEFAULTS.svm_seed)
-    p.add_argument("--weights-csv", help="also export weights as CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_svm)
 

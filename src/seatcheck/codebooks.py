@@ -521,14 +521,3 @@ def train_gmm(
     return GmmModel(
         weights=weights, means=means, variances=variances, loglik_history=tuple(history)
     )
-
-
-def gmm_debug_dump(gmm: GmmModel) -> str:
-    """Plain-text listing of weight, mean, and variance per component."""
-    lines = []
-    for i in range(gmm.K):
-        lines.append(f"component {i}")
-        lines.append(f"  weight   {float(gmm.weights[i])!r}")
-        lines.append("  mean     " + " ".join(repr(float(v)) for v in gmm.means[i]))
-        lines.append("  variance " + " ".join(repr(float(v)) for v in gmm.variances[i]))
-    return "\n".join(lines) + "\n"

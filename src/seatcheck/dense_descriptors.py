@@ -16,7 +16,6 @@ pool the orientation planes without a per-patch copy.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,13 +121,3 @@ def extract_dense(
         scale_level=np.concatenate(all_lvl),
         source_id=source_id,
     )
-
-
-def descriptors_to_csv(ds: DescriptorSet) -> str:
-    """Debug dump: one descriptor per line as x_norm, y_norm, scale_level, values."""
-    buf = io.StringIO()
-    for i in range(len(ds)):
-        head = f"{float(ds.x_norm[i])!r},{float(ds.y_norm[i])!r},{int(ds.scale_level[i])}"
-        tail = ",".join(repr(float(v)) for v in ds.vectors[i])
-        buf.write(head + "," + tail + "\n")
-    return buf.getvalue()

@@ -404,6 +404,8 @@ def build_synthetic_face_model(
         raise DataError(f"cell size must be an integer, got {cell_size!r}")
     if cell_size < 1:
         raise DataError(f"cell size must be at least 1, got {cell_size!r}")
+    if not is_integer(seed):
+        raise DataError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)

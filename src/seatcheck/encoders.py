@@ -75,15 +75,16 @@ class Provenance:
         return base if self.compressed_dim is None else f"{base}:pca={self.compressed_dim}"
 
 
-def power_l2_normalize(v: np.ndarray, alpha: float = 0.5) -> np.ndarray:
-    """Signed power (|z|^alpha with z's sign) followed by L2 normalization.
+def power_l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Signed square root, sign(z) * |z| ** 0.5, followed by L2 normalization.
 
-    The all-zero vector maps to itself; anything non-finite is rejected.
+    The exponent is fixed at 0.5 (Perronnin et al., ECCV 2010). The all-zero
+    vector maps to itself; anything non-finite is rejected.
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise NumericalError("power_l2_normalize received non-finite input")
-    powered = np.sign(v) * np.abs(v) ** alpha
+    powered = np.sign(v) * np.abs(v) ** 0.5
     norm = np.linalg.norm(powered)
     if norm == 0.0:
         return np.zeros_like(powered)

@@ -11,7 +11,6 @@ training. Raw scores w.x + b double as decisions (sign) and confidences
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +109,3 @@ def hinge_objective(model: LinearModel, x: np.ndarray, labels) -> float:
         total += max(0.0, 1.0 - y * score(model, row))
     reg = 0.5 * model.lambda_ * float(model.weights @ model.weights)
     return reg + total / len(labels)
-
-
-def weights_to_csv(model: LinearModel) -> str:
-    """One value per line: bias first, then each weight."""
-    buf = io.StringIO()
-    buf.write(f"bias,{model.bias!r}\n")
-    for i, w in enumerate(model.weights):
-        buf.write(f"w{i},{float(w)!r}\n")
-    return buf.getvalue()

@@ -42,8 +42,9 @@ class PcaModel:
             raise DataError("inconsistent PCA model shapes")
         if not (np.isfinite(mean).all() and np.isfinite(basis).all() and np.isfinite(ev).all()):
             raise DataError("PCA model parameters must be finite")
-        gram = basis @ basis.T
-        if np.abs(gram - np.eye(basis.shape[0])).max() > ORTHO_TOL:
+        # no entry of an orthonormal row exceeds 1; a larger one could overflow the Gram product
+        too_big = np.abs(basis).max(initial=0.0) > 1.0 + ORTHO_TOL
+        if too_big or np.abs(basis @ basis.T - np.eye(len(basis))).max() > ORTHO_TOL:
             raise DataError("PCA basis rows are not orthonormal")
         if np.any(np.diff(ev) > 0) or np.any(ev < 0):
             raise DataError("eigenvalues must be non-negative and non-increasing")

@@ -460,12 +460,3 @@ def load_corpus(path: str | Path) -> tuple[np.ndarray, Provenance, list[int] | N
         labels, ids = header["labels"], header["ids"]
         _check_corpus(x, provenance, labels, ids)
         return x, provenance, labels, ids
-
-
-def corpus_to_csv(x: np.ndarray, labels: list[int] | None, ids: list[str]) -> str:
-    """Inspection export: id, label (blank if unknown), then the values."""
-    lines = []
-    for i, row in enumerate(x):
-        label = "" if labels is None else str(labels[i])
-        lines.append(",".join([ids[i], label] + [repr(float(v)) for v in row]))
-    return "\n".join(lines) + "\n"

@@ -39,9 +39,7 @@ def test_staged_workflow(dataset_dir, tmp_path, capsys):
     assert main([
         "train-gmm", "--descriptors", desc, "--pca", pca, "--k", "4",
         "--sample", "4000", "--max-iter", "20", "--out", gmm,
-        "--debug-dump", str(tmp_path / "gmm.txt"),
     ]) == 0
-    assert "component 0" in (tmp_path / "gmm.txt").read_text()
 
     corpus = str(tmp_path / "corpus.bin")
     assert main([
@@ -50,11 +48,7 @@ def test_staged_workflow(dataset_dir, tmp_path, capsys):
     ]) == 0
 
     svm = str(tmp_path / "svm.json")
-    assert main([
-        "train-svm", "--corpus", corpus, "--epochs", "5", "--out", svm,
-        "--weights-csv", str(tmp_path / "weights.csv"),
-    ]) == 0
-    assert (tmp_path / "weights.csv").read_text().startswith("bias,")
+    assert main(["train-svm", "--corpus", corpus, "--epochs", "5", "--out", svm]) == 0
 
     out_dir = tmp_path / "eval"
     assert main(["evaluate", "--corpus", corpus, "--classifier", svm, "--out-dir", str(out_dir)]) == 0
@@ -76,16 +70,6 @@ def test_extract_uses_the_pipeline_describe_step(dataset_dir, tmp_path):
         assert np.array_equal(a.scale_level, b.scale_level)
 
 
-def test_extract_dump_csv_writes_one_file_per_image(dataset_dir, tmp_path):
-    dump = tmp_path / "dump"
-    manifest = dataset_dir / "manifest.csv"
-    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "d.bin"),
-                 "--dump-csv", str(dump)]) == 0
-    sets = store.load_descriptor_sets(tmp_path / "d.bin")
-    assert sorted(p.name for p in dump.iterdir()) == sorted(f"{ds.source_id}.csv" for ds in sets)
-    assert len((dump / f"{sets[0].source_id}.csv").read_text().splitlines()) == len(sets[0])
-
-
 def test_bow_workflow_with_codebook(dataset_dir, tmp_path):
     manifest = str(dataset_dir / "manifest.csv")
     desc = str(tmp_path / "desc.bin")
@@ -97,9 +81,8 @@ def test_bow_workflow_with_codebook(dataset_dir, tmp_path):
     corpus = str(tmp_path / "corpus.bin")
     assert main([
         "encode", "--descriptors", desc, "--encoder", "bow", "--vocab", cb,
-        "--manifest", manifest, "--out", corpus, "--csv", str(tmp_path / "corpus.csv"),
+        "--manifest", manifest, "--out", corpus,
     ]) == 0
-    assert (tmp_path / "corpus.csv").exists()
     # mismatched vocabulary type is a clean data error
     assert main([
         "encode", "--descriptors", desc, "--encoder", "fisher", "--vocab", cb,
@@ -217,13 +200,26 @@ def test_iteration_cap_below_1_exits_2(small_stages, tmp_path, capsys, command, 
     assert not out.exists()
 
 
-def test_usage_error_exits_1():
+def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as e:
         main(["extract"])  # missing required args
     assert e.value.code == 1
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 1
+    # each artifact has one on-disk format, so no command takes a text-export option
+    for argv in (
+        ["extract", "--manifest", "m.csv", "--out", "d.bin", "--dump-csv", "dump"],
+        ["train-gmm", "--descriptors", "d.bin", "--k", "2", "--out", "g.json", "--debug-dump", "g.txt"],
+        ["encode", "--descriptors", "d.bin", "--encoder", "bow", "--vocab", "c.json", "--out", "c.bin",
+         "--csv", "c.csv"],
+        ["train-svm", "--corpus", "c.bin", "--out", "s.json", "--weights-csv", "w.csv"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_data_error_exits_2(tmp_path, capsys):
@@ -531,7 +527,8 @@ def test_numerical_failure_in_run_all_exits_3(tmp_path, capsys, monkeypatch):
 
 # Every subcommand's options as (option strings, default, type), as the CLI
 # had them before its staged commands called the pipeline's stage functions,
-# but for the vocabulary sample's default, since lowered from 60000 to 30000.
+# but for the vocabulary sample's default, since lowered from 60000 to 30000,
+# and for the four text exports, since removed.
 CLI_SURFACE = {
     "synth-gen": [
         (("--out",), None, None), (("--count",), 400, "int"),
@@ -541,7 +538,7 @@ CLI_SURFACE = {
     "extract": [
         (("--manifest",), None, None), (("--out",), None, None), (("--patch",), 24, "int"),
         (("--stride",), 4, "int"), (("--levels",), 3, "int"),
-        (("--factor",), 0.7071067811865475, "float"), (("--dump-csv",), None, None),
+        (("--factor",), 0.7071067811865475, "float"),
     ],
     "train-pca": [
         (("--descriptors",), None, None), (("--dim",), 64, "int"), (("--sample",), None, "int"),
@@ -556,16 +553,14 @@ CLI_SURFACE = {
         (("--descriptors",), None, None), (("--pca",), None, None), (("--k",), None, "int"),
         (("--seed",), 3, "int"), (("--max-iter",), 20, "int"), (("--sample",), 30000, "int"),
         (("--sample-seed",), 2, "int"), (("--out",), None, None), (("--tol",), 1e-05, "float"),
-        (("--debug-dump",), None, None),
     ],
     "encode": [
         (("--descriptors",), None, None), (("--pca",), None, None), (("--encoder",), None, None),
-        (("--vocab",), None, None), (("--manifest",), None, None), (("--csv",), None, None),
-        (("--out",), None, None),
+        (("--vocab",), None, None), (("--manifest",), None, None), (("--out",), None, None),
     ],
     "train-svm": [
         (("--corpus",), None, None), (("--lambda",), 1e-05, "float"), (("--epochs",), 50, "int"),
-        (("--seed",), 4, "int"), (("--weights-csv",), None, None), (("--out",), None, None),
+        (("--seed",), 4, "int"), (("--out",), None, None),
     ],
     "evaluate": [
         (("--corpus",), None, None), (("--classifier",), None, None), (("--out-dir",), None, None),

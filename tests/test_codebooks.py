@@ -18,7 +18,6 @@ from seatcheck.codebooks import (
     _reseed_empty,
     _squared_distances,
     assign_nearest,
-    gmm_debug_dump,
     mean_log_likelihood,
     posteriors,
     train_gmm,
@@ -412,13 +411,6 @@ def test_mean_log_likelihood_matches_naive():
     gmm = train_gmm(data, K=2, seed=0)
     naive = naive_mean_loglik(gmm.weights, gmm.means, gmm.variances, data)
     assert mean_log_likelihood(gmm, data) == pytest.approx(naive, rel=1e-12)
-
-
-def test_gmm_debug_dump_lists_components():
-    gmm = GmmModel(weights=[0.25, 0.75], means=[[1.0, 2.0], [3.0, 4.0]], variances=[[1.0, 1.0], [2.0, 2.0]])
-    text = gmm_debug_dump(gmm)
-    assert "component 0" in text and "component 1" in text
-    assert "0.25" in text and "2.0" in text
 
 
 def test_log_densities_match_naive_difference_oracle(pca64_image_batch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from seatcheck.dense_descriptors import descriptors_to_csv, extract_dense
+from seatcheck.dense_descriptors import extract_dense
 from seatcheck.errors import DataError
 from seatcheck.imagecore import (
     GrayImage, ScalePyramid, _normalize_descriptors, _orientation_planes, build_pyramid, compute_gradients,
@@ -186,14 +186,3 @@ def test_extract_rejects_undersized_level():
     pyr = single_level(rng.uniform(size=(30, 30)))
     with pytest.raises(DataError):
         extract_dense(pyr, patch=32)
-
-
-def test_csv_dump_shape():
-    rng = np.random.default_rng(7)
-    ds = extract_dense(single_level(rng.uniform(size=(24, 28))), stride=4)
-    lines = descriptors_to_csv(ds).strip().splitlines()
-    assert len(lines) == len(ds)
-    first = lines[0].split(",")
-    assert len(first) == 3 + 128
-    assert float(first[0]) == ds.x_norm[0]
-    assert int(first[2]) == 0

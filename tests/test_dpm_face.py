@@ -573,6 +573,14 @@ def test_build_synthetic_face_model_rejects_a_non_integer_cell_size(cell_size):
         build_synthetic_face_model(faces, negatives, cell_size=cell_size)
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_build_synthetic_face_model_rejects_a_non_integer_seed(seed):
+    faces = [(GrayImage(np.full((96, 128), 0.5)), Rect(40, 20, 30, 34))]
+    negatives = [GrayImage(np.full((96, 128), 0.5))]
+    with pytest.raises(DataError, match="seed must be an integer"):
+        build_synthetic_face_model(faces, negatives, seed=seed)
+
+
 def recursive_ordered_edges(tree):
     """The leaf-to-root order as PartTree.ordered_edges built it on every call."""
     by_parent = {}

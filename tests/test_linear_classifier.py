@@ -11,7 +11,6 @@ from seatcheck.linear_classifier import (
     hinge_objective,
     score,
     train_svm,
-    weights_to_csv,
 )
 
 
@@ -118,11 +117,3 @@ def test_error_cases():
         check_trained_on(m, Provenance("fisher", 1, 2, compressed_dim=2))  # other provenance
     with pytest.raises(DataError):
         LinearModel(weights=np.array([np.inf]), bias=0.0, lambda_=1.0, trained_on="x")
-
-
-def test_weights_csv():
-    m = LinearModel(weights=np.array([1.5, -2.25]), bias=0.5, lambda_=1.0, trained_on="x")
-    lines = weights_to_csv(m).strip().splitlines()
-    assert lines[0] == "bias,0.5"
-    assert lines[1] == "w0,1.5"
-    assert lines[2] == "w1,-2.25"

@@ -161,6 +161,9 @@ def test_error_cases():
         project(m, np.zeros(5))
     with pytest.raises(DataError):
         PcaModel(mean=np.zeros(2), basis=np.array([[1.0, 1.0]]), eigenvalues=np.array([1.0]))
+    # a huge entry is refused before the Gram product, which would overflow with a RuntimeWarning
+    with pytest.raises(DataError, match="orthonormal"):
+        PcaModel(mean=np.zeros(2), basis=np.array([[1e308, 0.0]]), eigenvalues=np.array([1.0]))
 
 
 def test_block_fit_matches_whole_array_oracle(raw_sets):

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import json
+import math
+import random
 import warnings
 
 import numpy as np
@@ -12,16 +15,16 @@ from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.dpm_face import Edge, PartMixtureModel, PartTree
 from seatcheck.encoders import Provenance
 from seatcheck.errors import DataError
-from seatcheck.imagecore import load_pgm
+from seatcheck.imagecore import GrayImage, load_pgm
 from seatcheck.linear_classifier import LinearModel
 from seatcheck.pca_reduce import fit_pca
+from seatcheck.pipeline import score_image
 from seatcheck.store import (
     CORPUS_MAGIC,
     DESC_MAGIC,
     MODEL_FORMAT,
     PipelineModel,
     atomic_write_bytes,
-    corpus_to_csv,
     load_classifier,
     load_corpus,
     load_descriptor_sets,
@@ -34,10 +37,12 @@ from seatcheck.store import (
     save_corpus,
     save_descriptor_sets,
     save_dpm_model,
+    save_classifier,
     save_model,
     save_pca,
     save_quantizer,
 )
+from seatcheck.synthetic import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 
 
 def small_model(rng, with_dpm=False):
@@ -208,11 +213,6 @@ def test_encoded_corpus_round_trip_and_csv(tmp_path):
     assert blabels == labels and bids == ids
     assert provenance == vlad
     assert np.array_equal(back, x)
-
-    csv_text = corpus_to_csv(x, labels, ids)
-    lines = csv_text.strip().splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("im0,1,")
 
     with pytest.raises(DataError):
         save_corpus(x[:0], vlad, None, [], tmp_path / "empty.bin")
@@ -550,3 +550,132 @@ def test_binary_corpora_keep_their_byte_format(valid_files):
         "length": 4, "ids": ids, "labels": labels,
     }
     assert (valid_files / "corpus.bin").read_bytes() == _corpus_file(header, x)
+
+
+# Structural mutants for the JSON loaders and the manifest loader. A JSON node
+# or manifest cell is replaced by one of these values; "latin-1" also writes
+# the file in that encoding, and "deep" nests a list past the recursion limit.
+REPLACEMENTS = {
+    "null": None, "string": "x", "latin-1": "siège", "bool": True, "empty list": [],
+    "empty dict": {}, "huge": 1e308, "fractional": 0.5, "negative": -1, "deep": "<deep>",
+}
+MUTATIONS = ["delete key", "drop row", "duplicate row", *REPLACEMENTS]
+
+
+def _json_paths(node, path=()):
+    """Every dict key and the first and last item of every list, depth first."""
+    yield path
+    if isinstance(node, dict):
+        children = sorted(node)
+    elif isinstance(node, list):
+        children = sorted({0, len(node) - 1}) if node else []
+    else:
+        return
+    for key in children:
+        yield from _json_paths(node[key], path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _mutate_json(doc, mutation, rng):
+    paths = list(_json_paths(doc))
+    if mutation == "delete key":
+        paths = [p for p in paths if p and isinstance(_at(doc, p[:-1]), dict)]
+    elif mutation in ("drop row", "duplicate row"):
+        paths = [p for p in paths if p and isinstance(_at(doc, p[:-1]), list)]
+    path = rng.choice(paths)
+    if not path:
+        doc = copy.deepcopy(REPLACEMENTS[mutation])
+    else:
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if mutation in ("delete key", "drop row"):
+            del parent[key]
+        elif mutation == "duplicate row":
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = copy.deepcopy(REPLACEMENTS[mutation])
+    text = json.dumps(doc, ensure_ascii=False)
+    return text.replace('"<deep>"', "[" * 1000 + "]" * 1000), path
+
+
+def _mutate_manifest(text, mutation, rng):
+    rows = [line.split(",") for line in text.splitlines()]
+    r = rng.randrange(len(rows))
+    c = rng.randrange(len(rows[r]))
+    if mutation == "delete key":
+        del rows[r][c]
+    elif mutation == "drop row":
+        del rows[r]
+    elif mutation == "duplicate row":
+        rows.insert(r, list(rows[r]))
+    else:
+        value = REPLACEMENTS[mutation]
+        rows[r][c] = "" if value is None else value if isinstance(value, str) else json.dumps(value)
+    return "\n".join(",".join(row) for row in rows) + "\n", (r, c)
+
+
+def _scoring_model(rng):
+    """A model with every section that scores 128-D descriptors of a real image."""
+    model = small_model(rng, with_dpm=True)
+    k, d = model.quantizer.K, model.quantizer.d
+    final = fit_pca(rng.normal(size=(30, k * d)), 4)
+    provenance = Provenance("fisher", k, d, compressed_dim=4)
+    return dataclasses.replace(
+        model,
+        pca=fit_pca(rng.normal(size=(300, 128)), d),
+        final_pca=final,
+        classifier=dataclasses.replace(
+            model.classifier, weights=rng.normal(size=4), trained_on=provenance.fingerprint
+        ),
+    )
+
+
+def test_structural_mutants_load_or_raise_data_error(tmp_path):
+    # Every mutant of a valid file either loads or raises DataError, and a
+    # model.json that loads scores an image to a finite number.
+    rng = np.random.default_rng(9)
+    model = _scoring_model(rng)
+    save_model(model, tmp_path / "model.json")
+    save_pca(model.pca, tmp_path / "pca.json")
+    save_quantizer(KmeansCodebook(centroids=rng.normal(size=(3, 6))), tmp_path / "quantizer.json")
+    save_classifier(model.classifier, tmp_path / "classifier.json")
+    save_dpm_model(model.dpm, tmp_path / "dpm.json")
+    save_dataset(generate_synthetic(SyntheticSpec(count=4, width=80, height=64, seed=3)), tmp_path)
+    image = GrayImage(rng.uniform(size=(96, 128)))  # the synthetic corpus's image size
+    loaders = {
+        "model.json": load_model, "pca.json": load_pca, "quantizer.json": load_quantizer,
+        "classifier.json": load_classifier, "dpm.json": load_dpm_model, "manifest.csv": load_dataset,
+    }
+    pick = random.Random(20261020)
+    for name, load in loaders.items():
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        for mutation in MUTATIONS:
+            for _ in range(5):
+                if name == "manifest.csv":
+                    mutant, where = _mutate_manifest(text, mutation, pick)
+                else:
+                    mutant, where = _mutate_json(json.loads(text), mutation, pick)
+                path = tmp_path / f"mutant-{name}"
+                path.write_bytes(mutant.encode("latin-1" if mutation == "latin-1" else "utf-8"))
+                try:
+                    loaded = load(path)
+                except DataError:
+                    continue
+                except Exception as e:
+                    pytest.fail(f"{name}, {mutation} at {where}: {e!r}")
+                if name == "model.json":
+                    assert math.isfinite(score_image(loaded, image)), (mutation, where)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="a finite but huge mean loads and overflows at scoring")
+@pytest.mark.parametrize("path", [("pca", "mean", 0), ("quantizer", "means", 0, 0)], ids=["pca", "gmm"])
+def test_model_with_a_huge_mean_scores_to_a_finite_number(path):
+    rng = np.random.default_rng(9)
+    doc = json.loads(model_to_json(_scoring_model(rng)))
+    _at(doc, path[:-1])[path[-1]] = 1e308
+    model = model_from_json(json.dumps(doc))
+    assert math.isfinite(score_image(model, GrayImage(rng.uniform(size=(96, 128)))))
