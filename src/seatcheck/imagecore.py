@@ -205,13 +205,15 @@ def build_pyramid(
         raise DataError("levels must be >= 1")
     if not (0.0 < factor < 1.0):
         raise DataError("factor must lie in (0, 1)")
-    sizes = [(level_size(img.height, factor, l), level_size(img.width, factor, l)) for l in range(levels)]
-    for l, (h, w) in enumerate(sizes):
+    sizes = []  # each size is checked as it is computed, so a huge ``levels`` fails fast
+    for l in range(levels):
+        h, w = level_size(img.height, factor, l), level_size(img.width, factor, l)
         if h < MIN_LEVEL_SIDE or w < MIN_LEVEL_SIDE:
             raise DataError(
                 f"pyramid level {l} would be {w}x{h}, below the minimum "
                 f"patch size of {MIN_LEVEL_SIDE} pixels per side"
             )
+        sizes.append((h, w))
     imgs = [img]
     factors = [1.0]
     for l in range(1, levels):

@@ -70,6 +70,10 @@ def _decoding(what: str):
         raise DataError(f"cannot read {what}: {e!r}") from e
 
 
+# Rounding slack on the norm bounds of the descriptor PCA mean and the vocabulary centres.
+NORM_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class PipelineModel:
     """Everything needed to score a new image, its extraction geometry
@@ -99,6 +103,26 @@ class PipelineModel:
             raise DataError("final PCA input dim does not match encoded length")
         compressed = None if self.final_pca is None else self.final_pca.d_out
         check_trained_on(self.classifier, Provenance(self.encoder_kind, k, d, compressed))
+        # Descriptors have norm <= 1, so the descriptor PCA's mean lies in the unit
+        # ball and each vocabulary centre, an average of projected descriptors,
+        # within 1 + |mean|. A value beyond that no training run makes, and it
+        # would overflow at scoring.
+        reach = 1.0 + NORM_TOL
+        if self.pca is not None:
+            reach += _largest_norm("descriptor PCA mean", self.pca.mean[None], reach)
+        centres = self.quantizer.means if isinstance(self.quantizer, GmmModel) else self.quantizer.centroids
+        _largest_norm("a vocabulary centre", centres, reach)
+
+
+def _largest_norm(what: str, rows: np.ndarray, bound: float) -> float:
+    """The largest row norm of ``rows``, or a DataError if it exceeds ``bound``.
+    Entries are checked first, so that squaring them cannot overflow."""
+    largest = np.abs(rows).max(initial=0.0)
+    if largest <= bound:
+        largest = np.linalg.norm(rows, axis=1).max(initial=0.0)
+    if largest > bound:
+        raise DataError(f"{what} has a norm above {bound:.6g}, more than descriptors can reach")
+    return float(largest)
 
 
 # --- JSON codecs --------------------------------------------------------------

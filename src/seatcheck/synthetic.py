@@ -11,12 +11,24 @@ composite an elliptical head (with eye and mouth blobs) and a torso
 trapezoid at a jittered seat position, and sometimes drop occlusion bars
 across the upper body; the ground-truth face box is the head ellipse's
 bounding box. Everything is deterministic given the generation seed.
+
+Each shape is drawn only where it can change a pixel, from one sparse
+coordinate grid per corpus. An ellipse with centre c and radius r is blended
+on the integer box [floor(c - r), ceil(c + r)] of each axis, clipped to the
+canvas. This is exact: a pixel outside that box lies about a pixel or more
+beyond c +- r on some axis, far more than rounding can close, so its r2
+exceeds 1, its alpha clips to 0, and canvas * 1.0 + value * 0.0 gives back
+the canvas bits. The torso touches only the rows at or below its top, and an
+occlusion bar only its own rows or columns. Every pixel still gets the same
+arithmetic as a full-canvas pass, and the random draws keep their order, so
+a seed gives the same bits.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,16 +96,20 @@ class LabeledImage:
         return 1 if self.label == "person" else -1
 
 
-def _ellipse_blend(canvas, cx, cy, rx, ry, value, softness=4.0):
+def _ellipse_blend(canvas, grid, cx, cy, rx, ry, value, softness=4.0):
+    """Blend a soft ellipse into ``canvas`` in place, inside its bounding box only."""
+    ys, xs = grid
     h, w = canvas.shape
-    ys, xs = np.indices((h, w))
-    r2 = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2
+    y0, y1 = max(math.floor(cy - ry), 0), min(math.ceil(cy + ry) + 1, h)
+    x0, x1 = max(math.floor(cx - rx), 0), min(math.ceil(cx + rx) + 1, w)
+    r2 = ((xs[:, x0:x1] - cx) / rx) ** 2 + ((ys[y0:y1] - cy) / ry) ** 2
     alpha = np.clip((1.0 - r2) * softness, 0.0, 1.0)
-    return canvas * (1.0 - alpha) + value * alpha
+    box = canvas[y0:y1, x0:x1]
+    box[...] = box * (1.0 - alpha) + value * alpha
 
 
-def _seat_background(rng, w, h):
-    ys, xs = np.indices((h, w))
+def _seat_background(rng, grid, w, h):
+    ys, xs = grid
     base = rng.uniform(0.30, 0.55)
     # seat fabric runs mostly horizontally; jittered, not free-angle
     theta = np.pi / 2.0 + rng.uniform(-0.35, 0.35)
@@ -103,10 +119,12 @@ def _seat_background(rng, w, h):
     bands = amp * np.sin(2.0 * np.pi * freq * (xs * np.cos(theta) + ys * np.sin(theta)) + phase)
     gx, gy = rng.uniform(-0.22, 0.22, size=2)
     gradient = gx * (xs / w - 0.5) + gy * (ys / h - 0.5)
-    return base + bands + gradient
+    bands += base
+    bands += gradient
+    return bands
 
 
-def _render_headrest(rng, canvas, w, h):
+def _render_headrest(rng, canvas, grid, w, h):
     """Every seat carries a head-sized elliptical headrest: the classic
     face-detector confuser (an ellipse with no facial features)."""
     cx = w * 0.5 + rng.uniform(-0.06, 0.06) * w
@@ -116,14 +134,14 @@ def _render_headrest(rng, canvas, w, h):
     cx = float(np.clip(cx, rx + 1.0, w - rx - 1.0))
     cy = float(np.clip(cy, ry + 1.0, h - ry - 1.0))
     tone = rng.uniform(0.45, 0.70)
-    canvas = _ellipse_blend(canvas, cx, cy, rx, ry, tone)
+    _ellipse_blend(canvas, grid, cx, cy, rx, ry, tone)
     # faint seam across the cushion
     seam = tone - rng.uniform(0.08, 0.16)
-    canvas = _ellipse_blend(canvas, cx, cy + 0.1 * ry, 0.8 * rx, 0.08 * ry, seam)
-    return canvas
+    _ellipse_blend(canvas, grid, cx, cy + 0.1 * ry, 0.8 * rx, 0.08 * ry, seam)
 
 
-def _render_person(rng, canvas, w, h):
+def _render_person(rng, canvas, grid, w, h):
+    ys, xs = grid
     cx = w * 0.5 + rng.uniform(-0.07, 0.07) * w
     cy = h * 0.40 + rng.uniform(-0.07, 0.07) * h
     rx = rng.uniform(10.0, 14.0) * (w / 128.0)
@@ -132,23 +150,23 @@ def _render_person(rng, canvas, w, h):
     cy = float(np.clip(cy, ry + 1.0, h - ry - 1.0))
     head = rng.uniform(0.62, 0.85)
 
-    # torso first so the chin overlaps it
+    # torso first so the chin overlaps it; it covers the rows y >= torso_top
     torso_top = cy + 0.8 * ry
     torso_int = rng.uniform(0.30, 0.70)
-    ys, xs = np.indices((h, w))
-    depth = np.clip((ys - torso_top) / max(h - torso_top, 1.0), 0.0, 1.0)
+    top = math.ceil(torso_top)
+    depth = np.clip((ys[top:] - torso_top) / max(h - torso_top, 1.0), 0.0, 1.0)
     half_width = (1.3 + 1.3 * depth) * rx
     tcx = cx + rng.uniform(-3.0, 3.0)
-    inside = (ys >= torso_top) & (np.abs(xs - tcx) <= half_width)
-    canvas = np.where(inside, 0.25 * canvas + 0.75 * torso_int, canvas)
+    torso = canvas[top:]
+    torso[...] = np.where(np.abs(xs - tcx) <= half_width, 0.25 * torso + 0.75 * torso_int, torso)
 
-    canvas = _ellipse_blend(canvas, cx, cy, rx, ry, head)
+    _ellipse_blend(canvas, grid, cx, cy, rx, ry, head)
     feature_int = head - rng.uniform(0.32, 0.45)
     for sx in (-1.0, 1.0):
-        canvas = _ellipse_blend(
-            canvas, cx + sx * 0.45 * rx, cy - 0.25 * ry, 0.26 * rx, 0.16 * ry, feature_int
+        _ellipse_blend(
+            canvas, grid, cx + sx * 0.45 * rx, cy - 0.25 * ry, 0.26 * rx, 0.16 * ry, feature_int
         )
-    canvas = _ellipse_blend(canvas, cx, cy + 0.45 * ry, 0.34 * rx, 0.14 * ry, feature_int)
+    _ellipse_blend(canvas, grid, cx, cy + 0.45 * ry, 0.34 * rx, 0.14 * ry, feature_int)
 
     if rng.uniform() < OCCLUSION_PROB:
         for _ in range(int(rng.integers(1, 3))):
@@ -157,14 +175,12 @@ def _render_person(rng, canvas, w, h):
             bar_int = rng.uniform(0.04, 0.22) if dark else rng.uniform(0.75, 0.95)
             if rng.uniform() < 0.6:  # vertical bar near or through the face band
                 bx = cx + rng.uniform(-1.4, 1.4) * rx
-                mask = np.abs(xs - bx) <= bar_w / 2.0
+                canvas[:, np.abs(xs[0] - bx) <= bar_w / 2.0] = bar_int
             else:
                 by = cy + rng.uniform(-1.4, 1.4) * ry
-                mask = np.abs(ys - by) <= bar_w / 2.0
-            canvas = np.where(mask, bar_int, canvas)
+                canvas[np.abs(ys[:, 0] - by) <= bar_w / 2.0] = bar_int
 
-    box = Rect(x=cx - rx, y=cy - ry, w=2.0 * rx, h=2.0 * ry)
-    return canvas, box
+    return Rect(x=cx - rx, y=cy - ry, w=2.0 * rx, h=2.0 * ry)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[LabeledImage]:
@@ -176,20 +192,20 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LabeledImage]:
     rng = np.random.default_rng(spec.seed)
     labels = np.array(["person"] * spec.n_positive + ["empty"] * (spec.count - spec.n_positive))
     rng.shuffle(labels)
+    w, h = spec.width, spec.height
+    grid = np.indices((h, w), sparse=True)
 
     out = []
     for i, label in enumerate(labels):
-        canvas = _seat_background(rng, spec.width, spec.height)
-        canvas = _render_headrest(rng, canvas, spec.width, spec.height)
-        box = None
-        if label == "person":
-            canvas, box = _render_person(rng, canvas, spec.width, spec.height)
+        canvas = _seat_background(rng, grid, w, h)
+        _render_headrest(rng, canvas, grid, w, h)
+        box = _render_person(rng, canvas, grid, w, h) if label == "person" else None
         # windshield transmission: per-image gain over the whole scene,
         # then sensor noise
-        canvas = canvas * rng.uniform(0.6, 1.0)
+        canvas *= rng.uniform(0.6, 1.0)
         if spec.noise_sigma > 0:
-            canvas = canvas + rng.normal(0.0, spec.noise_sigma, size=canvas.shape)
-        img = GrayImage(np.clip(canvas, 0.0, 1.0))
+            canvas += rng.normal(0.0, spec.noise_sigma, size=canvas.shape)
+        img = GrayImage(np.clip(canvas, 0.0, 1.0, out=canvas))
         out.append(
             LabeledImage(image=img, label=str(label), gt_face_box=box, image_id=f"synth-{i:05d}")
         )

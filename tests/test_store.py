@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seatcheck import imagecore
 from seatcheck.codebooks import GmmModel, KmeansCodebook
 from seatcheck.dense_descriptors import DescriptorSet
 from seatcheck.dpm_face import Edge, PartMixtureModel, PartTree
 from seatcheck.encoders import Provenance
 from seatcheck.errors import DataError
-from seatcheck.imagecore import GrayImage, load_pgm
+from seatcheck.imagecore import GrayImage, level_size, load_pgm
 from seatcheck.linear_classifier import LinearModel
 from seatcheck.pca_reduce import fit_pca
 from seatcheck.pipeline import score_image
@@ -51,7 +52,7 @@ def small_model(rng, with_dpm=False):
     w = rng.uniform(0.5, 1.5, size=k)
     gmm = GmmModel(
         weights=w / w.sum(),
-        means=rng.normal(size=(k, d)),
+        means=0.2 * rng.normal(size=(k, d)),  # within 1 + |PCA mean| of the origin
         variances=rng.uniform(0.5, 2.0, size=(k, d)),
     )
     clf = LinearModel(
@@ -443,7 +444,7 @@ def _models_with_every_section():
     bow = dataclasses.replace(
         fisher,
         encoder_kind="bow",
-        quantizer=KmeansCodebook(centroids=rng.normal(size=(fisher.quantizer.K, fisher.quantizer.d))),
+        quantizer=KmeansCodebook(centroids=0.2 * rng.normal(size=(fisher.quantizer.K, fisher.quantizer.d))),
         final_pca=None,
         classifier=dataclasses.replace(
             fisher.classifier,
@@ -671,11 +672,30 @@ def test_structural_mutants_load_or_raise_data_error(tmp_path):
                     assert math.isfinite(score_image(loaded, image)), (mutation, where)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="a finite but huge mean loads and overflows at scoring")
 @pytest.mark.parametrize("path", [("pca", "mean", 0), ("quantizer", "means", 0, 0)], ids=["pca", "gmm"])
 def test_model_with_a_huge_mean_scores_to_a_finite_number(path):
+    # A finite but huge mean would overflow at scoring, so the model must not load.
     rng = np.random.default_rng(9)
     doc = json.loads(model_to_json(_scoring_model(rng)))
     _at(doc, path[:-1])[path[-1]] = 1e308
+    with pytest.raises(DataError, match="norm above"):
+        model_from_json(json.dumps(doc))
+
+
+def test_model_with_a_huge_levels_loads_and_fails_to_score_in_constant_work(monkeypatch):
+    # No pyramid of 10**9 levels fits an image, and scoring says so at the
+    # first level below the patch size instead of listing every level first.
+    rng = np.random.default_rng(9)
+    doc = json.loads(model_to_json(_scoring_model(rng)))
+    doc["extract"]["levels"] = 10**9
     model = model_from_json(json.dumps(doc))
-    assert math.isfinite(score_image(model, GrayImage(rng.uniform(size=(96, 128)))))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return level_size(*args)
+
+    monkeypatch.setattr(imagecore, "level_size", counted)
+    with pytest.raises(DataError, match="pyramid level 5 would be 23x17"):
+        score_image(model, GrayImage(rng.uniform(size=(96, 128))))
+    assert len(calls) == 2 * 6

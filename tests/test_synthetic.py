@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seatcheck.errors import DataError
 from seatcheck.synthetic import (
     LabeledImage,
     SyntheticSpec,
+    _ellipse_blend,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -20,6 +25,80 @@ def test_generation_is_deterministic():
     for x, y in zip(a, b):
         assert np.array_equal(x.image.pixels, y.image.pixels)
         assert x.gt_face_box == y.gt_face_box
+
+
+def _corpus_sha256(images):
+    h = hashlib.sha256()
+    for im in images:
+        h.update(im.image.pixels.tobytes())
+        h.update(im.label.encode())
+        b = im.gt_face_box
+        h.update(repr(None if b is None else (b.x, b.y, b.w, b.h)).encode())
+    return h.hexdigest()
+
+
+# Recorded from the full-canvas renderer that drew every shape over every pixel;
+# the bounding-box renderer must reproduce its pixels, labels and boxes bit for bit.
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            {"count": 400, "seed": 7},
+            "67d28cea0f6ad8b94cbd51f7a97f6b018a56f27cd38ff818bbe20990013794d4",
+        ),
+        (
+            {"count": 40, "seed": 7, "noise_sigma": 0.0},
+            "6bdf926737c25fa05c46424860a24aa32436bb46ed032ca23ab975281cb3ca36",
+        ),
+        (
+            {"count": 40, "seed": 7, "noise_sigma": 0.3},
+            "1038673735a53fb35d1ebdb276d2996cd5ac7b8c75f4807fb1b26514fb29aa02",
+        ),
+        (
+            {"count": 40, "seed": 7, "width": 64, "height": 64},
+            "c94256e5899b56112dc51fa4407e634e89fc4615721aa54b651eb21a55e46847",
+        ),
+        (
+            {"count": 40, "seed": 7, "width": 200, "height": 150},
+            "00a6853ddf89c26e1b9303acda275e2f69d67cd3026952da7fa002ec22cf37dd",
+        ),
+        (  # six occlusion bars, vertical and horizontal, over three person images
+            {"count": 6, "seed": 28},
+            "ce37468fc8f13100dd99e7b03c1782298233bf6d4fbc2bce73fd51becbffe933",
+        ),
+    ],
+    ids=["canonical", "noise0", "noise0.3", "64x64", "200x150", "bars"],
+)
+def test_generated_corpus_matches_its_pinned_digest(spec, digest):
+    assert _corpus_sha256(generate_synthetic(SyntheticSpec(**spec))) == digest
+
+
+def _full_canvas_blend(canvas, cx, cy, rx, ry, value, softness=4.0):
+    ys, xs = np.indices(canvas.shape)
+    r2 = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2
+    alpha = np.clip((1.0 - r2) * softness, 0.0, 1.0)
+    return canvas * (1.0 - alpha) + value * alpha
+
+
+_radius = st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 60.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    cx=st.floats(-30.0, 70.0),
+    cy=st.floats(-30.0, 70.0),
+    rx=_radius,
+    ry=_radius,
+    value=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_clipped_ellipse_blend_equals_the_full_canvas_formula(h, w, cx, cy, rx, ry, value, seed):
+    canvas = np.random.default_rng(seed).uniform(0.0, 1.0, size=(h, w))
+    expected = _full_canvas_blend(canvas, cx, cy, rx, ry, value)
+    _ellipse_blend(canvas, np.indices((h, w), sparse=True), cx, cy, rx, ry, value)
+    assert canvas.tobytes() == expected.tobytes()
 
 
 def test_exact_stratification():
